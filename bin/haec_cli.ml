@@ -132,22 +132,24 @@ let experiment_cmd =
 
 (* ---------- simulate ---------- *)
 
-type store_choice = Mvr | Causal | Cops | State | Orset | Lww | Counter | Gossip | Delayed | Gsp
+module Catalogue = Sim.Catalogue
 
-let store_conv =
-  Arg.enum
-    [
-      ("mvr", Mvr);
-      ("causal", Causal);
-      ("cops", Cops);
-      ("state", State);
-      ("orset", Orset);
-      ("lww", Lww);
-      ("counter", Counter);
-      ("gossip", Gossip);
-      ("delayed", Delayed);
-      ("gsp", Gsp);
-    ]
+(* a command's --store flag, over the catalogue entries it can run *)
+let store_arg ~cmd ~default entries =
+  let parse name =
+    match Catalogue.find entries name with
+    | Some e -> Ok e
+    | None ->
+      Error
+        (`Msg
+           (Printf.sprintf "unknown store %S; %s supports: %s" name cmd
+              (Catalogue.names entries)))
+  in
+  let print ppf e = Format.pp_print_string ppf e.Catalogue.name in
+  Arg.(
+    value
+    & opt (conv (parse, print)) (Catalogue.get default)
+    & info [ "store" ] ~doc:("Store: " ^ Catalogue.names entries))
 
 type net_choice = Fifo | Reorder | Lossy | Partition
 
@@ -180,12 +182,13 @@ let or_divergence f =
     Format.printf "The network never drained — try a larger --ops budget or a kinder --net.@.";
     exit 3
 
-let simulate_store (type a) (module S : Store.Store_intf.S with type state = a) ~seed ~n
-    ~objects ~ops ~policy ~net_name ~faulty_net ~mix ~verbose ~dump ~metrics =
+let simulate_store (e : Catalogue.entry) ~seed ~n ~objects ~ops ~policy ~net_name
+    ~faulty_net ~verbose ~dump ~metrics =
+  let (module S) = e.Catalogue.store in
   let module R = Sim.Runner.Make (S) in
   let rng = Util.Rng.create seed in
   let sim = R.create ~seed ~n ~policy () in
-  let steps = Sim.Workload.generate ~rng ~n ~objects ~ops mix in
+  let steps = Sim.Workload.generate ~rng ~n ~objects ~ops (Catalogue.mix e) in
   Sim.Workload.run
     (fun ~replica ~obj op -> R.op sim ~replica ~obj op)
     ~advance:(R.advance_to sim) steps;
@@ -264,12 +267,7 @@ let simulate_store (type a) (module S : Store.Store_intf.S with type state = a) 
   if verbose then Format.printf "@.%a@." Model.Execution.pp exec
 
 let simulate_cmd =
-  let store =
-    Arg.(
-      value & opt store_conv Mvr
-      & info [ "store" ]
-          ~doc:"Store: mvr|causal|cops|state|orset|lww|counter|gossip|delayed|gsp")
-  in
+  let store = store_arg ~cmd:"simulate" ~default:"mvr" Catalogue.all in
   let net = Arg.(value & opt net_conv Reorder & info [ "net" ] ~doc:"Network: fifo|reorder|lossy|partition") in
   let n = Arg.(value & opt int 3 & info [ "replicas"; "n" ] ~doc:"Number of replicas") in
   let objects = Arg.(value & opt int 3 & info [ "objects" ] ~doc:"Number of objects") in
@@ -290,24 +288,10 @@ let simulate_cmd =
     match apply_tuning tuning with
     | Error msg -> `Error (false, msg)
     | Ok () ->
-      let policy = policy_of net in
-      let go (module S : Store.Store_intf.S) mix =
-        simulate_store (module S) ~seed ~n ~objects ~ops ~policy
-          ~net_name:(net_name_of net) ~faulty_net:(net_is_faulty net) ~mix ~verbose
-          ~dump ~metrics;
-        `Ok ()
-      in
-      (match store with
-      | Mvr -> go (module Store.Mvr_store) Sim.Workload.register_mix
-      | Causal -> go (module Store.Causal_mvr_store) Sim.Workload.register_mix
-      | Cops -> go (module Store.Cops_store) Sim.Workload.register_mix
-      | State -> go (module Store.State_mvr_store) Sim.Workload.register_mix
-      | Orset -> go (module Store.Orset_store) Sim.Workload.orset_mix
-      | Lww -> go (module Store.Lww_store) Sim.Workload.register_mix
-      | Counter -> go (module Store.Counter_store.Causal) Sim.Workload.orset_mix
-      | Gossip -> go (module Store.Gossip_relay_store) Sim.Workload.register_mix
-      | Delayed -> go (module Store.Delayed_store.K3) Sim.Workload.register_mix
-      | Gsp -> go (module Store.Gsp_store) Sim.Workload.register_mix)
+      simulate_store store ~seed ~n ~objects ~ops ~policy:(policy_of net)
+        ~net_name:(net_name_of net) ~faulty_net:(net_is_faulty net) ~verbose ~dump
+        ~metrics;
+      `Ok ()
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run a random workload on a store over a simulated network")
@@ -318,10 +302,11 @@ let simulate_cmd =
 
 (* ---------- chaos ---------- *)
 
-let chaos_store (module S : Store.Store_intf.S) ~store_flag ~require ~recovery
-    ~adversarial ~churn ~shrink ~spec ~mix ~seed ~runs ~n ~objects ~ops ~policy
-    ~dump_dir ~metrics =
+let chaos_store (e : Catalogue.entry) ~require ~recovery ~adversarial ~churn ~shrink
+    ~seed ~runs ~n ~objects ~ops ~policy ~dump_dir ~metrics =
+  let (module S) = e.Catalogue.store in
   let module C = Sim.Chaos.Make (S) in
+  let spec = e.Catalogue.spec and mix = Catalogue.mix e in
   Format.printf "chaos: store=%s replicas=%d objects=%d ops=%d runs=%d recovery=%s%s%s@."
     S.name n objects ops runs
     (match recovery with `Oracle -> "oracle" | `Anti_entropy -> "anti-entropy")
@@ -410,7 +395,7 @@ let chaos_store (module S : Store.Store_intf.S) ~store_flag ~require ~recovery
               "# minimal failing repro for store=%s seed=%d@.\
                # replay: haec_cli chaos --store %s --seed %d --runs 1 --replicas %d \
                --objects %d --ops %d --require %s --recovery %s%s%s --shrink@.%a@."
-              S.name seed store_flag seed n objects ops
+              S.name seed e.Catalogue.name seed n objects ops
               (match require with
               | `Converge -> "converge"
               | `Correct -> "correct"
@@ -440,11 +425,7 @@ let chaos_store (module S : Store.Store_intf.S) ~store_flag ~require ~recovery
   else `Error (false, Printf.sprintf "%d of %d chaos runs failed" !failed runs)
 
 let chaos_cmd =
-  let store =
-    Arg.(
-      value & opt store_conv Causal
-      & info [ "store" ] ~doc:"Store: mvr|causal|cops|state|orset|lww|gossip")
-  in
+  let store = store_arg ~cmd:"chaos" ~default:"causal" Catalogue.checked in
   let net = Arg.(value & opt net_conv Reorder & info [ "net" ] ~doc:"Base network: fifo|reorder|lossy|partition") in
   let n = Arg.(value & opt int 3 & info [ "replicas"; "n" ] ~doc:"Number of replicas") in
   let objects = Arg.(value & opt int 2 & info [ "objects" ] ~doc:"Number of objects") in
@@ -534,39 +515,9 @@ let chaos_cmd =
           "--churn needs --recovery anti-entropy: a joiner bootstraps over the \
            digest/repair protocol, and a crash-leaver's losses are permanent" )
     else
-    let store_flag =
-      match store with
-      | Mvr -> "mvr" | Causal -> "causal" | Cops -> "cops" | State -> "state"
-      | Orset -> "orset" | Lww -> "lww" | Counter -> "counter" | Gossip -> "gossip"
-      | Delayed -> "delayed" | Gsp -> "gsp"
-    in
-    let go (module S : Store.Store_intf.S) ~require:default_require ~spec mix =
-      let require = Option.value require ~default:default_require in
-      chaos_store (module S) ~store_flag ~require ~recovery ~adversarial ~churn ~shrink
-        ~spec ~mix ~seed ~runs ~n ~objects ~ops ~policy ~dump_dir ~metrics
-    in
-    (* each store is held to the checks its class guarantees under faulty
-       re-delivery: causal stores to causal consistency, the lww register
-       only to convergence (its timestamp arbitration may disagree with
-       trace order), everyone else to witness correctness. OCC is reported
-       but never required — Theorem 6. *)
-    match store with
-    | Mvr -> go (module Store.Mvr_store) ~require:`Correct ~spec:Spec.Spec.mvr
-               Sim.Workload.register_mix
-    | Causal -> go (module Store.Causal_mvr_store) ~require:`Causal ~spec:Spec.Spec.mvr
-                  Sim.Workload.register_mix
-    | Cops -> go (module Store.Cops_store) ~require:`Causal ~spec:Spec.Spec.mvr
-                Sim.Workload.register_mix
-    | State -> go (module Store.State_mvr_store) ~require:`Correct ~spec:Spec.Spec.mvr
-                 Sim.Workload.register_mix
-    | Orset -> go (module Store.Orset_store) ~require:`Correct ~spec:Spec.Spec.orset
-                 Sim.Workload.orset_mix
-    | Lww -> go (module Store.Lww_store) ~require:`Converge ~spec:Spec.Spec.rw_register
-               Sim.Workload.register_mix
-    | Gossip -> go (module Store.Gossip_relay_store) ~require:`Correct ~spec:Spec.Spec.mvr
-                  Sim.Workload.register_mix
-    | Counter | Delayed | Gsp ->
-      `Error (false, "chaos supports: mvr|causal|cops|state|orset|lww|gossip")
+    let require = Option.value require ~default:(Catalogue.level store) in
+    chaos_store store ~require ~recovery ~adversarial ~churn ~shrink ~seed ~runs ~n
+      ~objects ~ops ~policy ~dump_dir ~metrics
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -787,12 +738,7 @@ let metrics_cmd =
 (* ---------- render ---------- *)
 
 let render_cmd =
-  let store =
-    Arg.(
-      value & opt store_conv Mvr
-      & info [ "store" ]
-          ~doc:"Store: mvr|causal|cops|state|orset|lww|counter|gossip|delayed|gsp")
-  in
+  let store = store_arg ~cmd:"render" ~default:"mvr" Catalogue.all in
   let ops = Arg.(value & opt int 8 & info [ "ops" ] ~doc:"Number of client operations") in
   let n = Arg.(value & opt int 3 & info [ "replicas"; "n" ] ~doc:"Number of replicas") in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed") in
@@ -803,34 +749,22 @@ let render_cmd =
       & info [ "what" ] ~doc:"Render the witness abstract execution or the raw execution")
   in
   let run store n ops seed what =
-    let go (module S : Store.Store_intf.S) mix =
-      let module R = Sim.Runner.Make (S) in
-      let rng = Util.Rng.create seed in
-      let sim = R.create ~seed ~n ~policy:(Sim.Net_policy.random_delay ()) () in
-      let steps = Sim.Workload.generate ~rng ~n ~objects:2 ~ops mix in
-      Sim.Workload.run
-        (fun ~replica ~obj op -> R.op sim ~replica ~obj op)
-        ~advance:(R.advance_to sim) steps;
-      or_divergence (fun () -> R.run_until_quiescent sim);
-      let dot =
-        match what with
-        | `Witness ->
-          Viz.Render.abstract_to_dot ~title:(S.name ^ " witness") (R.witness_abstract sim)
-        | `Execution -> Viz.Render.execution_to_dot ~title:S.name (R.execution sim)
-      in
-      print_string dot
+    let (module S : Store.Store_intf.S) = store.Catalogue.store in
+    let module R = Sim.Runner.Make (S) in
+    let rng = Util.Rng.create seed in
+    let sim = R.create ~seed ~n ~policy:(Sim.Net_policy.random_delay ()) () in
+    let steps = Sim.Workload.generate ~rng ~n ~objects:2 ~ops (Catalogue.mix store) in
+    Sim.Workload.run
+      (fun ~replica ~obj op -> R.op sim ~replica ~obj op)
+      ~advance:(R.advance_to sim) steps;
+    or_divergence (fun () -> R.run_until_quiescent sim);
+    let dot =
+      match what with
+      | `Witness ->
+        Viz.Render.abstract_to_dot ~title:(S.name ^ " witness") (R.witness_abstract sim)
+      | `Execution -> Viz.Render.execution_to_dot ~title:S.name (R.execution sim)
     in
-    match store with
-    | Mvr -> go (module Store.Mvr_store) Sim.Workload.register_mix
-    | Causal -> go (module Store.Causal_mvr_store) Sim.Workload.register_mix
-    | Cops -> go (module Store.Cops_store) Sim.Workload.register_mix
-    | State -> go (module Store.State_mvr_store) Sim.Workload.register_mix
-    | Orset -> go (module Store.Orset_store) Sim.Workload.orset_mix
-    | Lww -> go (module Store.Lww_store) Sim.Workload.register_mix
-    | Counter -> go (module Store.Counter_store.Causal) Sim.Workload.orset_mix
-    | Gossip -> go (module Store.Gossip_relay_store) Sim.Workload.register_mix
-    | Delayed -> go (module Store.Delayed_store.K3) Sim.Workload.register_mix
-    | Gsp -> go (module Store.Gsp_store) Sim.Workload.register_mix
+    print_string dot
   in
   Cmd.v
     (Cmd.info "render" ~doc:"Emit a graphviz dot drawing of a simulated run")
@@ -985,11 +919,14 @@ let json_check_cmd =
 
 (* ---------- trace: span-level visibility-lag attribution ---------- *)
 
-let trace_store (module S : Store.Store_intf.S) ~require ~recovery ~adversarial ~churn
-    ~spec ~mix ~seed ~n ~objects ~ops ~policy ~why ~export ~out ~time_scale ~slowest =
+let trace_store (e : Catalogue.entry) ~recovery ~adversarial ~churn ~seed ~n ~objects
+    ~ops ~policy ~why ~export ~out ~time_scale ~slowest =
+  let (module S) = e.Catalogue.store in
   let module C = Sim.Chaos.Make (S) in
   let o =
-    C.run ~n ~objects ~ops ~spec_of:(fun _ -> spec) ~mix ~policy ~require ~recovery
+    C.run ~n ~objects ~ops
+      ~spec_of:(fun _ -> e.Catalogue.spec)
+      ~mix:(Catalogue.mix e) ~policy ~require:(Catalogue.level e) ~recovery
       ~adversarial ~churn ~seed ()
   in
   let spans = o.Sim.Chaos.spans in
@@ -1114,11 +1051,7 @@ let trace_store (module S : Store.Store_intf.S) ~require ~recovery ~adversarial 
   `Ok ()
 
 let trace_cmd =
-  let store =
-    Arg.(
-      value & opt store_conv Causal
-      & info [ "store" ] ~doc:"Store: mvr|causal|cops|state|orset|lww|gossip")
-  in
+  let store = store_arg ~cmd:"trace" ~default:"causal" Catalogue.checked in
   let net = Arg.(value & opt net_conv Reorder & info [ "net" ] ~doc:"Base network: fifo|reorder|lossy|partition") in
   let n = Arg.(value & opt int 3 & info [ "replicas"; "n" ] ~doc:"Number of replicas") in
   let objects = Arg.(value & opt int 2 & info [ "objects" ] ~doc:"Number of objects") in
@@ -1182,27 +1115,8 @@ let trace_cmd =
     if churn && recovery <> `Anti_entropy then
       `Error (false, "--churn needs --recovery anti-entropy")
     else
-      let go (module S : Store.Store_intf.S) ~require ~spec mix =
-        trace_store (module S) ~require ~recovery ~adversarial ~churn ~spec ~mix ~seed
-          ~n ~objects ~ops ~policy ~why ~export ~out ~time_scale ~slowest
-      in
-      match store with
-      | Mvr -> go (module Store.Mvr_store) ~require:`Correct ~spec:Spec.Spec.mvr
-                 Sim.Workload.register_mix
-      | Causal -> go (module Store.Causal_mvr_store) ~require:`Causal ~spec:Spec.Spec.mvr
-                    Sim.Workload.register_mix
-      | Cops -> go (module Store.Cops_store) ~require:`Causal ~spec:Spec.Spec.mvr
-                  Sim.Workload.register_mix
-      | State -> go (module Store.State_mvr_store) ~require:`Correct ~spec:Spec.Spec.mvr
-                   Sim.Workload.register_mix
-      | Orset -> go (module Store.Orset_store) ~require:`Correct ~spec:Spec.Spec.orset
-                   Sim.Workload.orset_mix
-      | Lww -> go (module Store.Lww_store) ~require:`Converge ~spec:Spec.Spec.rw_register
-                 Sim.Workload.register_mix
-      | Gossip -> go (module Store.Gossip_relay_store) ~require:`Correct
-                    ~spec:Spec.Spec.mvr Sim.Workload.register_mix
-      | Counter | Delayed | Gsp ->
-        `Error (false, "trace supports: mvr|causal|cops|state|orset|lww|gossip")
+      trace_store store ~recovery ~adversarial ~churn ~seed ~n ~objects ~ops ~policy ~why
+        ~export ~out ~time_scale ~slowest
   in
   Cmd.v
     (Cmd.info "trace"
@@ -1217,8 +1131,8 @@ let trace_cmd =
 
 (* ---------- serve: live cluster on OCaml 5 domains ---------- *)
 
-let serve_store (module S : Store.Store_intf.S) ~require ~spec ~cfg ~capture_path ~check
-    ~metrics_path =
+let serve_store (e : Catalogue.entry) ~cfg ~capture_path ~check ~metrics_path =
+  let (module S) = e.Catalogue.store in
   let chaos_active =
     cfg.Live.Cluster.faults <> None || cfg.Live.Cluster.drop_p > 0.0
   in
@@ -1228,11 +1142,11 @@ let serve_store (module S : Store.Store_intf.S) ~require ~spec ~cfg ~capture_pat
          WAL to recover from, and a chaos run should measure the
          chaos-ready configuration *)
       if chaos_active then
-        let module St = Live.Stack.Durable (S) in
+        let module St = Store.Stack.Durable (S) in
         let module C = Live.Cluster.Make (St) in
         Ok (C.run cfg)
       else
-        let module St = Live.Stack.Volatile (S) in
+        let module St = Store.Stack.Volatile (S) in
         let module C = Live.Cluster.Make (St) in
         Ok (C.run cfg)
     with Invalid_argument msg -> Error msg
@@ -1339,13 +1253,13 @@ let serve_store (module S : Store.Store_intf.S) ~require ~spec ~cfg ~capture_pat
     else
       match (res.trace, res.witness) with
       | Some exec, Some wit ->
-        let report = Sim.Checks.validate ~spec_of:(fun _ -> spec) exec wit in
+        let report = Sim.Checks.validate ~spec_of:(fun _ -> e.Catalogue.spec) exec wit in
         let required =
           [ ("well-formed", report.Sim.Checks.well_formed);
             ("complies", report.Sim.Checks.complies);
           ]
-          @ (match require with
-            | `Causal ->
+          @ (match Catalogue.level e with
+            | `Causal | `Occ ->
               [ ("correct", report.Sim.Checks.correct);
                 ("causal", report.Sim.Checks.causal);
               ]
@@ -1486,11 +1400,7 @@ let build_live_plan ~seed ~n ~duration ~chaos ~adversarial ~crashes ~partitions 
     with Invalid_argument msg -> Error msg
 
 let serve_cmd =
-  let store =
-    Arg.(
-      value & opt store_conv Causal
-      & info [ "store" ] ~doc:"Store: mvr|causal|cops|state|orset|lww|gossip")
-  in
+  let store = store_arg ~cmd:"serve" ~default:"causal" Catalogue.checked in
   let n = Arg.(value & opt int 2 & info [ "replicas"; "n" ] ~doc:"Replica domains") in
   let duration =
     Arg.(value & opt float 1.0 & info [ "duration" ] ~doc:"Load-phase wall seconds")
@@ -1611,17 +1521,12 @@ let serve_cmd =
       with
       | Error msg -> `Error (false, msg)
       | Ok faults ->
-        let mix =
-          match store with
-          | Orset -> Live.Load.orset_mix
-          | _ -> Live.Load.mix_of_read_pct read_pct
-        in
         let cfg =
           {
             Live.Cluster.replicas = n;
             seed;
             objects;
-            mix;
+            mix = Live.Load.of_shape store.Catalogue.shape ~read_pct;
             zipf;
             duration;
             rate;
@@ -1634,24 +1539,7 @@ let serve_cmd =
             heal_by;
           }
         in
-        let go (module S : Store.Store_intf.S) ~require ~spec =
-          serve_store (module S) ~require ~spec ~cfg ~capture_path ~check
-            ~metrics_path
-        in
-        (match store with
-        | Mvr -> go (module Store.Mvr_store) ~require:`Correct ~spec:Spec.Spec.mvr
-        | Causal ->
-          go (module Store.Causal_mvr_store) ~require:`Causal ~spec:Spec.Spec.mvr
-        | Cops -> go (module Store.Cops_store) ~require:`Causal ~spec:Spec.Spec.mvr
-        | State ->
-          go (module Store.State_mvr_store) ~require:`Correct ~spec:Spec.Spec.mvr
-        | Orset -> go (module Store.Orset_store) ~require:`Correct ~spec:Spec.Spec.orset
-        | Lww ->
-          go (module Store.Lww_store) ~require:`Converge ~spec:Spec.Spec.rw_register
-        | Gossip ->
-          go (module Store.Gossip_relay_store) ~require:`Correct ~spec:Spec.Spec.mvr
-        | Counter | Delayed | Gsp ->
-          `Error (false, "serve supports: mvr|causal|cops|state|orset|lww|gossip")))
+        serve_store store ~cfg ~capture_path ~check ~metrics_path)
   in
   Cmd.v
     (Cmd.info "serve"

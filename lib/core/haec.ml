@@ -71,6 +71,7 @@ module Store = struct
   module Store_intf = Haec_store.Store_intf
   module Durable = Haec_store.Durable
   module Anti_entropy = Haec_store.Anti_entropy
+  module Stack = Haec_store.Stack
   module Object_layer = Haec_store.Object_layer
   module Eager_core = Haec_store.Eager_core
   module Causal_core = Haec_store.Causal_core
@@ -99,6 +100,7 @@ module Sim = struct
   module Scenario = Haec_sim.Scenario
   module Checks = Haec_sim.Checks
   module Chaos = Haec_sim.Chaos
+  module Catalogue = Haec_sim.Catalogue
   module Shrink = Haec_sim.Shrink
   module Telemetry = Haec_sim.Telemetry
 end
@@ -108,7 +110,7 @@ module Live = struct
   module Load = Haec_live.Load
   module Cluster = Haec_live.Cluster
   module Faults = Haec_live.Faults
-  module Stack = Haec_live.Stack
+  module Stack = Haec_store.Stack  (** the same module as {!Store.Stack} *)
 end
 
 module Viz = struct

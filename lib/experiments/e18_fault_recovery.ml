@@ -17,14 +17,13 @@ let title = "E18: convergence under crash-recovery chaos (seeded fault schedules
 
 let seeds = List.init 12 (fun i -> i + 1)
 
-let chaos_row label (module S : Store.Store_intf.S) require spec mix =
-  let module C = Sim.Chaos.Make (S) in
+let chaos_row (label, store) =
   let conv = ref 0 in
   let crashes = ref 0 and dropped = ref 0 and retrans = ref 0 and corrupt = ref 0 in
   let causal_viol = ref 0 and occ_viol = ref 0 in
   let lag_p99 = ref 0.0 in
   (* the seeds fan out over domains; counters fold sequentially after *)
-  let outcomes = C.run_seeds ~spec_of:(fun _ -> spec) ~mix ~require ~seeds () in
+  let outcomes = Sim.Catalogue.run_seeds (Sim.Catalogue.get store) ~seeds in
   List.iter
     (fun o ->
       if Sim.Chaos.converged o then incr conv;
@@ -58,17 +57,17 @@ let chaos_row label (module S : Store.Store_intf.S) require spec mix =
   ]
 
 let run ppf =
-  let reg = Sim.Workload.register_mix and set = Sim.Workload.orset_mix in
   let rows =
-    [
-      chaos_row "mvr-eager" (module Store.Mvr_store) `Correct Spec.Spec.mvr reg;
-      chaos_row "mvr-causal" (module Store.Causal_mvr_store) `Causal Spec.Spec.mvr reg;
-      chaos_row "mvr-cops-deps" (module Store.Cops_store) `Causal Spec.Spec.mvr reg;
-      chaos_row "mvr-state" (module Store.State_mvr_store) `Correct Spec.Spec.mvr reg;
-      chaos_row "orset" (module Store.Orset_store) `Correct Spec.Spec.orset set;
-      chaos_row "lww-register" (module Store.Lww_store) `Converge Spec.Spec.rw_register reg;
-      chaos_row "gossip-relay" (module Store.Gossip_relay_store) `Correct Spec.Spec.mvr reg;
-    ]
+    List.map chaos_row
+      [
+        ("mvr-eager", "mvr");
+        ("mvr-causal", "causal");
+        ("mvr-cops-deps", "cops");
+        ("mvr-state", "state");
+        ("orset", "orset");
+        ("lww-register", "lww");
+        ("gossip-relay", "gossip");
+      ]
   in
   Tables.print ppf ~title
     ~header:

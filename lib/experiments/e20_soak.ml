@@ -44,10 +44,17 @@ type stress = {
   s_elapsed : float;
 }
 
+(* the stores whose replicas count their delivery-buffer work *)
+module type COUNTED = sig
+  include Store.Store_intf.S
+
+  val delivery_stats : state -> Store.Store_intf.delivery_stats
+end
+
 (* ---------- buffering stress (store-level, no simulator) ---------- *)
 
-module Stress (S : Store.Store_intf.S) = struct
-  let run ~label ~reset ~stats ~k =
+module Stress (S : COUNTED) = struct
+  let run ~k =
     let msgs = Array.make k "" in
     let writer = ref (S.init ~n:2 ~me:0) in
     for i = 0 to k - 1 do
@@ -57,7 +64,6 @@ module Stress (S : Store.Store_intf.S) = struct
       writer := st;
       msgs.(i) <- payload
     done;
-    reset ();
     let t0 = Sys.time () in
     let reader = ref (S.init ~n:2 ~me:1) in
     for i = k - 1 downto 0 do
@@ -68,9 +74,9 @@ module Stress (S : Store.Store_intf.S) = struct
     ignore final;
     (* every write was delivered: the reader sees the last value *)
     assert (r = Model.Op.vals [ Model.Value.Int (k - 1) ]);
-    let st : Store.Store_intf.delivery_stats = stats () in
+    let st = S.delivery_stats !reader in
     {
-      s_label = label;
+      s_label = S.name;
       k;
       s_scans = st.Store.Store_intf.scans;
       s_max_buffer = st.Store.Store_intf.max_buffer;
@@ -81,22 +87,16 @@ end
 module Stress_indexed = Stress (Store.Causal_mvr_store)
 module Stress_naive = Stress (Store.Causal_naive_store)
 
-let stress_indexed ~k =
-  Stress_indexed.run ~label:Store.Causal_mvr_store.name
-    ~reset:Store.Causal_mvr_store.reset_delivery_stats
-    ~stats:Store.Causal_mvr_store.delivery_stats ~k
+let stress_indexed ~k = Stress_indexed.run ~k
 
-let stress_naive ~k =
-  Stress_naive.run ~label:Store.Causal_naive_store.name
-    ~reset:Store.Causal_naive_store.reset_delivery_stats
-    ~stats:Store.Causal_naive_store.delivery_stats ~k
+let stress_naive ~k = Stress_naive.run ~k
 
 (* ---------- replication soak (simulator-driven) ---------- *)
 
-module Soak (S : Store.Store_intf.S) = struct
+module Soak (S : COUNTED) = struct
   module R = Sim.Runner.Make (S)
 
-  let run ?(coalesce = false) ~label ~reset ~stats ~n ~objects ~ops ~seed () =
+  let run ?(coalesce = false) ~n ~objects ~ops ~seed () =
     let rng = Util.Rng.create seed in
     let sim =
       R.create ~seed ~record_witness:false ~coalesce
@@ -106,17 +106,19 @@ module Soak (S : Store.Store_intf.S) = struct
       Sim.Workload.generate ~rng ~n ~objects ~ops ~spacing:0.25
         Sim.Workload.register_mix
     in
-    reset ();
     let t0 = Sys.time () in
     Sim.Workload.run
       (fun ~replica ~obj op -> R.op sim ~replica ~obj op)
       ~advance:(R.advance_to sim) steps;
     R.run_until_quiescent sim;
     let elapsed = Sys.time () -. t0 in
-    let st : Store.Store_intf.delivery_stats = stats () in
+    let st = Store.Store_intf.fresh_delivery_stats () in
+    for r = 0 to n - 1 do
+      Store.Store_intf.add_delivery_stats st (S.delivery_stats (R.replica_state sim r))
+    done;
     let msgs = R.messages_sent sim in
     {
-      label = (if coalesce then label ^ "+coalesce" else label);
+      label = (if coalesce then S.name ^ "+coalesce" else S.name);
       n;
       ops;
       messages = List.length msgs;
@@ -134,24 +136,17 @@ end
 module Soak_indexed = Soak (Store.Causal_mvr_store)
 module Soak_naive = Soak (Store.Causal_naive_store)
 
-let soak_indexed ?coalesce ~n ~objects ~ops ~seed () =
-  Soak_indexed.run ?coalesce ~label:Store.Causal_mvr_store.name
-    ~reset:Store.Causal_mvr_store.reset_delivery_stats
-    ~stats:Store.Causal_mvr_store.delivery_stats ~n ~objects ~ops ~seed ()
+let soak_indexed = Soak_indexed.run
 
-let soak_naive ?coalesce ~n ~objects ~ops ~seed () =
-  Soak_naive.run ?coalesce ~label:Store.Causal_naive_store.name
-    ~reset:Store.Causal_naive_store.reset_delivery_stats
-    ~stats:Store.Causal_naive_store.delivery_stats ~n ~objects ~ops ~seed ()
+let soak_naive = Soak_naive.run
 
 (* ---------- the experiment table ---------- *)
 
 let f_ops_per_s s = if s.elapsed > 0.0 then Tables.f1 (float_of_int s.ops /. s.elapsed) else "-"
 
 let run ppf =
-  (* one task per k, fanned out over domains: a task's reset/run/read of the
-     domain-local delivery counters never leaves its domain, and same-domain
-     tasks run sequentially, so the counters stay coherent at any -j *)
+  (* one task per k, fanned out over domains; each task reads the counters
+     of its own replicas, so the counts are the same at any -j *)
   let stress_rows =
     Harness.sweep
       (List.map

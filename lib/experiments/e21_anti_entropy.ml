@@ -26,16 +26,15 @@ let counter metrics name =
   | Some (Obs.Metrics.Registry.Counter c) -> Obs.Metrics.Counter.value c
   | Some _ | None -> 0
 
-let chaos_row label (module S : Store.Store_intf.S) require spec mix =
-  let module C = Sim.Chaos.Make (S) in
+let chaos_row (label, store) =
   let conv = ref 0 in
   let lost = ref 0 and rounds = ref 0 in
   let digest_b = ref 0 and repair_b = ref 0 and repaired = ref 0 and dups = ref 0 in
   let lat_sum = ref 0.0 and lat_max = ref 0.0 in
   let max_bits = ref 0 and floor_bits = ref 0.0 in
   let outcomes =
-    C.run_seeds ~spec_of:(fun _ -> spec) ~mix ~require ~recovery:`Anti_entropy
-      ~adversarial:true ~seeds ()
+    Sim.Catalogue.run_seeds ~recovery:`Anti_entropy ~adversarial:true
+      (Sim.Catalogue.get store) ~seeds
   in
   List.iter
     (fun o ->
@@ -75,15 +74,15 @@ let chaos_row label (module S : Store.Store_intf.S) require spec mix =
   ]
 
 let run ppf =
-  let reg = Sim.Workload.register_mix and set = Sim.Workload.orset_mix in
   let rows =
-    [
-      chaos_row "mvr-eager" (module Store.Mvr_store) `Correct Spec.Spec.mvr reg;
-      chaos_row "mvr-causal" (module Store.Causal_mvr_store) `Causal Spec.Spec.mvr reg;
-      chaos_row "mvr-cops-deps" (module Store.Cops_store) `Causal Spec.Spec.mvr reg;
-      chaos_row "orset" (module Store.Orset_store) `Correct Spec.Spec.orset set;
-      chaos_row "lww-register" (module Store.Lww_store) `Converge Spec.Spec.rw_register reg;
-    ]
+    List.map chaos_row
+      [
+        ("mvr-eager", "mvr");
+        ("mvr-causal", "causal");
+        ("mvr-cops-deps", "cops");
+        ("orset", "orset");
+        ("lww-register", "lww");
+      ]
   in
   Tables.print ppf ~title
     ~header:

@@ -85,11 +85,10 @@ let summarize outcomes =
     Tables.yes_no (!min_ratio = infinity || !min_ratio >= 1.0);
   ]
 
-let churn_row label (module S : Store.Store_intf.S) require spec mix =
-  let module C = Sim.Chaos.Make (S) in
+let churn_row (label, store) =
   let outcomes =
-    C.run_seeds ~spec_of:(fun _ -> spec) ~mix ~require ~recovery:`Anti_entropy
-      ~adversarial:true ~churn:true ~seeds ()
+    Sim.Catalogue.run_seeds ~recovery:`Anti_entropy ~adversarial:true ~churn:true
+      (Sim.Catalogue.get store) ~seeds
   in
   label :: summarize outcomes
 
@@ -145,22 +144,18 @@ let flash_join () =
     ~leaves:[]
 
 let run ppf =
-  let reg = Sim.Workload.register_mix and set = Sim.Workload.orset_mix in
   let rows =
-    [
-      churn_row "mvr-eager" (module Store.Mvr_store) `Correct Spec.Spec.mvr reg;
-      churn_row "mvr-causal" (module Store.Causal_mvr_store) `Causal Spec.Spec.mvr reg;
-      churn_row "mvr-cops-deps" (module Store.Cops_store) `Causal Spec.Spec.mvr reg;
-      churn_row "mvr-state-based" (module Store.State_mvr_store) `Correct Spec.Spec.mvr
-        reg;
-      churn_row "orset" (module Store.Orset_store) `Correct Spec.Spec.orset set;
-      churn_row "lww-register" (module Store.Lww_store) `Converge Spec.Spec.rw_register
-        reg;
-      churn_row "mvr-gossip-relay" (module Store.Gossip_relay_store) `Correct
-        Spec.Spec.mvr reg;
-      rolling_replace ();
-      flash_join ();
-    ]
+    List.map churn_row
+      [
+        ("mvr-eager", "mvr");
+        ("mvr-causal", "causal");
+        ("mvr-cops-deps", "cops");
+        ("mvr-state-based", "state");
+        ("orset", "orset");
+        ("lww-register", "lww");
+        ("mvr-gossip-relay", "gossip");
+      ]
+    @ [ rolling_replace (); flash_join () ]
   in
   Tables.print ppf ~title
     ~header:

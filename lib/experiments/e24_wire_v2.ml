@@ -94,12 +94,11 @@ let counter metrics name =
 
 type ae = { conv : int; digest : int; repair : int; deltas : int; elided : int }
 
-let ae_probe version (module S : Store.Store_intf.S) require spec mix =
-  let module C = Sim.Chaos.Make (S) in
+let ae_probe version entry =
   Wire.Version.scoped version (fun () ->
       let outcomes =
-        C.run_seeds ~ops:ae_ops ~spec_of:(fun _ -> spec) ~mix ~require
-          ~recovery:`Anti_entropy ~adversarial:true ~seeds ()
+        Sim.Catalogue.run_seeds ~ops:ae_ops ~recovery:`Anti_entropy ~adversarial:true
+          entry ~seeds
       in
       List.fold_left
         (fun a o ->
@@ -116,9 +115,10 @@ let ae_probe version (module S : Store.Store_intf.S) require spec mix =
 
 let a_converged a = a.conv = List.length seeds
 
-let ae_rows label (module S : Store.Store_intf.S) require spec mix =
-  let v1 = ae_probe Wire.Version.V1 (module S : Store.Store_intf.S) require spec mix in
-  let v2 = ae_probe Wire.Version.V2 (module S : Store.Store_intf.S) require spec mix in
+let ae_rows (label, store) =
+  let entry = Sim.Catalogue.get store in
+  let v1 = ae_probe Wire.Version.V1 entry in
+  let v2 = ae_probe Wire.Version.V2 entry in
   let runs = List.length seeds in
   let total a = a.digest + a.repair in
   let per_op a = float_of_int (total a) /. float_of_int (runs * ae_ops) in
@@ -162,12 +162,12 @@ let run ppf =
       ]
     a_rows;
   let b_rows =
-    List.concat
+    List.concat_map ae_rows
       [
-        ae_rows "mvr-eager" (module Store.Mvr_store) `Correct Spec.Spec.mvr reg;
-        ae_rows "mvr-causal" (module Store.Causal_mvr_store) `Causal Spec.Spec.mvr reg;
-        ae_rows "mvr-cops-deps" (module Store.Cops_store) `Causal Spec.Spec.mvr reg;
-        ae_rows "orset" (module Store.Orset_store) `Correct Spec.Spec.orset set;
+        ("mvr-eager", "mvr");
+        ("mvr-causal", "causal");
+        ("mvr-cops-deps", "cops");
+        ("orset", "orset");
       ]
   in
   Tables.print ppf

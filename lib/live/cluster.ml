@@ -7,28 +7,6 @@ module Obs = Haec_obs.Metrics
 module Store_intf = Haec_store.Store_intf
 module Fault_plan = Haec_sim.Fault_plan
 
-module type STACK = sig
-  include Store_intf.S
-
-  val tick : state -> state
-
-  val settled : state array -> bool
-
-  val progress : state -> Vclock.t
-
-  val queue_depth : state -> int
-
-  val pending_bytes : state -> int
-
-  val gossip_stats : unit -> Store_intf.gossip_stats
-
-  val reset_gossip_stats : unit -> unit
-
-  val recover : state -> state
-
-  val durable : bool
-end
-
 type config = {
   replicas : int;
   seed : int;
@@ -124,24 +102,7 @@ type frame = { bytes : string; seq : int; issued_at : float }
    witness the store reported *)
 type tev = { at : float; ev : Event.t; wit : Store_intf.witness option }
 
-let add_gossip dst (src : Store_intf.gossip_stats) =
-  let open Store_intf in
-  dst.digests <- dst.digests + src.digests;
-  dst.digest_bytes <- dst.digest_bytes + src.digest_bytes;
-  dst.repairs <- dst.repairs + src.repairs;
-  dst.repair_bytes <- dst.repair_bytes + src.repair_bytes;
-  dst.requests <- dst.requests + src.requests;
-  dst.request_bytes <- dst.request_bytes + src.request_bytes;
-  dst.updates <- dst.updates + src.updates;
-  dst.update_bytes <- dst.update_bytes + src.update_bytes;
-  dst.dup_payloads <- dst.dup_payloads + src.dup_payloads;
-  dst.repair_applied <- dst.repair_applied + src.repair_applied;
-  dst.memberships <- dst.memberships + src.memberships;
-  dst.membership_bytes <- dst.membership_bytes + src.membership_bytes;
-  dst.digest_deltas <- dst.digest_deltas + src.digest_deltas;
-  dst.digests_elided <- dst.digests_elided + src.digests_elided
-
-module Make (S : STACK) = struct
+module Make (S : Haec_store.Stack.S) = struct
   type node = {
     me : int;
     n : int;
@@ -368,10 +329,9 @@ module Make (S : STACK) = struct
   (* A crash window: the replica's volatile memory and every frame queued
      for or addressed to it die; only the durable image survives. The
      domain itself is kept — each ring has exactly one legal producer and
-     consumer, and the DLS gossip stats die with a domain — so the
-     teardown is semantic: state dropped, no events until Recover, inbox
-     discarded at restart. Returns [false] when the run ended while the
-     replica was down (it then stays down). *)
+     consumer — so the teardown is semantic: state dropped, no events
+     until Recover, inbox discarded at restart. Returns [false] when the
+     run ended while the replica was down (it then stays down). *)
   let crash_restart node ~phase ~recover_at =
     node.crashes <- node.crashes + 1;
     if node.cfg.capture then
@@ -532,9 +492,7 @@ module Make (S : STACK) = struct
      construction. *)
   let assemble ~n results =
     let per =
-      Array.map
-        (fun (node, _) -> Array.of_list (List.rev node.events_rev))
-        results
+      Array.map (fun node -> Array.of_list (List.rev node.events_rev)) results
     in
     let idx = Array.make n 0 in
     let sent = Hashtbl.create 1024 in
@@ -607,7 +565,7 @@ module Make (S : STACK) = struct
     let converged = match outcome with Healed _ -> true | Diverged _ -> false in
     let per_replica =
       Array.map
-        (fun (node, _) ->
+        (fun node ->
           {
             ops = node.dos;
             issued = Load.issued node.g;
@@ -637,14 +595,16 @@ module Make (S : STACK) = struct
     let wire_bytes = sum (fun r -> r.wire_bytes) in
     let stalls = sum (fun r -> r.stalls) in
     let max_payload_bytes =
-      Array.fold_left (fun a (node, _) -> max a node.max_payload) 0 results
+      Array.fold_left (fun a node -> max a node.max_payload) 0 results
     in
     let queue_depth_peak = peak (fun r -> r.queue_depth_peak) in
     let pending_bytes_peak = peak (fun r -> r.pending_bytes_peak) in
     let lag_ms = Obs.Histogram.create () in
-    Array.iter (fun (node, _) -> Obs.Histogram.merge_into lag_ms node.lag) results;
+    Array.iter (fun node -> Obs.Histogram.merge_into lag_ms node.lag) results;
     let gossip = Store_intf.fresh_gossip_stats () in
-    Array.iter (fun (_, gs) -> add_gossip gossip gs) results;
+    Array.iter
+      (fun node -> Store_intf.add_gossip_stats gossip (S.gossip_stats node.state))
+      results;
     let ops_per_sec =
       if elapsed > 0.0 then float_of_int total_ops /. elapsed else 0.0
     in
@@ -660,7 +620,7 @@ module Make (S : STACK) = struct
     c "live.stalls" stalls;
     c "live.ring.stall" stalls;
     Array.iter
-      (fun (node, _) ->
+      (fun node ->
         Array.iteri
           (fun dst v ->
             if v > 0 then
@@ -823,15 +783,20 @@ module Make (S : STACK) = struct
     let domains =
       Array.init n (fun me ->
           Domain.spawn (fun () ->
-              let node = make_node cfg ~me ~clock ~rings ~faults ~up in
-              node.on_full <- (fun _ -> ignore (drain node));
-              while not (Atomic.get gate) do
-                Domain.cpu_relax ()
-              done;
-              live_loop node ~phase ~cell:cells.(me);
-              (* gossip stats live in DLS and die with the domain:
-                 snapshot before returning *)
-              (node, S.gossip_stats ())))
+              (* a domain that raises marks itself down, so its peers stop
+                 pushing into its rings instead of spinning on them *)
+              try
+                let node = make_node cfg ~me ~clock ~rings ~faults ~up in
+                node.on_full <- (fun _ -> ignore (drain node));
+                while not (Atomic.get gate) do
+                  Domain.cpu_relax ()
+                done;
+                live_loop node ~phase ~cell:cells.(me);
+                node
+              with e ->
+                let bt = Printexc.get_raw_backtrace () in
+                Atomic.set up.(me) false;
+                Printexc.raise_with_backtrace e bt))
     in
     let t0 = clock () in
     (* bind plan time to the load-phase origin; the gate write below
@@ -929,7 +894,20 @@ module Make (S : STACK) = struct
       end
     done;
     Atomic.set phase 2;
-    let results = Array.map Domain.join domains in
+    (* join every domain before re-raising the first failure *)
+    let joined =
+      Array.map
+        (fun d ->
+          match Domain.join d with
+          | node -> Ok node
+          | exception e -> Error (e, Printexc.get_raw_backtrace ()))
+        domains
+    in
+    let results =
+      Array.map
+        (function Ok node -> node | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+        joined
+    in
     let drain_elapsed = clock () -. t1 in
     let outcome =
       if !converged then Healed { degraded_settled = !degraded_settled }
@@ -999,7 +977,6 @@ module Make (S : STACK) = struct
       invalid_arg "Cluster.run_inline: ops_per_replica must be >= 1";
     if tick_every < 1 then
       invalid_arg "Cluster.run_inline: tick_every must be >= 1";
-    S.reset_gossip_stats ();
     let n = cfg.replicas in
     let vt = ref 0.0 in
     let clock () =
@@ -1054,19 +1031,9 @@ module Make (S : STACK) = struct
     done;
     if not (done_ ()) then failwith "Cluster.run_inline: did not reach quiescence";
     let elapsed = Unix.gettimeofday () -. t0 in
-    let results =
-      Array.mapi
-        (fun i node ->
-          (* all replicas share this domain's DLS stats: attribute the
-             aggregate once, to replica 0 *)
-          ( node,
-            if i = 0 then S.gossip_stats () else Store_intf.fresh_gossip_stats ()
-          ))
-        nodes
-    in
     harvest cfg ~elapsed ~drain_elapsed:0.0
       ~outcome:(Healed { degraded_settled = false })
       ~availability:1.0
       ~recovery_ms:(Obs.Histogram.create ())
-      ~faults:None results
+      ~faults:None nodes
 end

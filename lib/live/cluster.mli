@@ -2,8 +2,8 @@
     encoded [Wire.Frame] bytes over {!Spsc} rings, driven by a
     closed-loop {!Load} generator.
 
-    Each domain owns one replica stack (a store wrapped in
-    [Anti_entropy.Make]) outright — states, RNGs, histograms and event
+    Each domain owns one replica stack ({!Haec_store.Stack.S}: a store
+    wrapped in [Anti_entropy.Make]) outright — states, RNGs, histograms and event
     logs are never shared; the only cross-domain traffic is sealed frame
     bytes through the rings and small atomic snapshot cells the
     coordinator polls. Metrics follow the same discipline: every domain
@@ -37,42 +37,7 @@
     the simulator's lag histogram. *)
 
 open Haec_model
-open Haec_vclock
 module Obs := Haec_obs.Metrics
-
-(** What the runtime needs from a replica stack: a store
-    ({!Haec_store.Store_intf.S}) extended with the anti-entropy pump and
-    introspection — [Anti_entropy.Make (S)] provides everything except
-    [progress], which is its [have] vector. *)
-module type STACK = sig
-  include Haec_store.Store_intf.S
-
-  val tick : state -> state
-
-  val settled : state array -> bool
-
-  val progress : state -> Vclock.t
-  (** Per-origin contiguous applied prefix; drives lag measurement and
-      convergence detection. *)
-
-  val queue_depth : state -> int
-
-  val pending_bytes : state -> int
-
-  val gossip_stats : unit -> Haec_store.Store_intf.gossip_stats
-
-  val reset_gossip_stats : unit -> unit
-
-  val recover : state -> state
-  (** Crash recovery: volatile state discarded, rebuilt from whatever the
-      stack keeps durably ({!Haec_store.Store_intf.DURABLE.recover}); the
-      identity for volatile stacks, which therefore cannot run crash
-      plans. *)
-
-  val durable : bool
-  (** Whether {!recover} actually survives a crash — gates crash windows
-      in {!config.faults}. *)
-end
 
 type config = {
   replicas : int;
@@ -180,12 +145,16 @@ type result = {
   witness : Haec_spec.Abstract.t option;
 }
 
-module Make (S : STACK) : sig
+module Make (S : Haec_store.Stack.S) : sig
   val run : config -> result
   (** Spawn [replicas] domains, drive the load phase for [duration],
       then stop issuing and drain until every replica settles (or a
       deadline passes — see [converged]), join, and harvest.
-      Raises [Invalid_argument] on a nonsensical config. *)
+      Raises [Invalid_argument] on a nonsensical config. A replica
+      domain that raises marks itself down (its peers then drop what
+      they would push to it, as to a crashed replica); once every domain
+      has joined, [run] re-raises the lowest-numbered domain's
+      exception. *)
 
   val run_inline : ?ops_per_replica:int -> ?tick_every:int -> config -> result
   (** The same node code, single-domain and deterministic: replicas run

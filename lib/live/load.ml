@@ -11,6 +11,9 @@ let mix_of_read_pct p =
   let p = max 0 (min 100 p) in
   { read_w = p; write_w = 100 - p; add_w = 0; remove_w = 0 }
 
+let of_shape shape ~read_pct =
+  match shape with `Register -> mix_of_read_pct read_pct | `Set -> orset_mix
+
 let total m = m.read_w + m.write_w + m.add_w + m.remove_w
 
 let is_update_mix m = m.write_w + m.add_w + m.remove_w > 0

@@ -23,6 +23,10 @@ val mix_of_read_pct : int -> mix
 (** [mix_of_read_pct p] — [p]% reads, the rest writes; [p] clamped to
     [0, 100]. *)
 
+val of_shape : [ `Register | `Set ] -> read_pct:int -> mix
+(** The mix for a store's workload shape ([Haec_sim.Catalogue.shape]):
+    {!mix_of_read_pct} for registers, {!orset_mix} for sets. *)
+
 val is_update_mix : mix -> bool
 (** Whether the mix can produce updates at all (a 100%-read mix never
     converges to anything interesting). *)

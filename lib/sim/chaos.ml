@@ -93,7 +93,9 @@ let derive ?(n = 3) ?(objects = 2) ?(ops = 40) ?(mix = Workload.register_mix)
    the omniscient [`Oracle] baseline and the protocol-level
    [`Anti_entropy] stack. *)
 module Drive (DS : sig
-  include Haec_store.Store_intf.DURABLE
+  include Haec_store.Store_intf.S
+
+  val recover : state -> state
 
   val recovery : Runner.recovery
 
@@ -103,9 +105,7 @@ module Drive (DS : sig
 
   val classify : (string -> string) option
 
-  val reset_stats : unit -> unit
-
-  val gossip_stats : unit -> Haec_store.Store_intf.gossip_stats option
+  val gossip_stats : (state -> Haec_store.Store_intf.gossip_stats) option
 end) =
 struct
   module R = Runner.Make (DS)
@@ -148,7 +148,6 @@ struct
           invalid_arg "Chaos.run_plan: churn requires `Anti_entropy recovery");
         (c.Fault_plan.capacity, c.Fault_plan.initial)
     in
-    DS.reset_stats ();
     let gossip =
       match DS.gossip with
       | None -> None
@@ -240,12 +239,16 @@ struct
         Error (Printf.sprintf "corruption escaped the frame check: %s" m)
     in
     let metrics = R.metrics sim in
-    (match DS.gossip_stats () with
+    (match DS.gossip_stats with
     | None -> ()
-    | Some gs ->
-      (* digest/repair traffic of the anti-entropy protocol, alongside the
-         runner's wire telemetry so E21 can hold repair bytes against the
-         Theorem 12 floor *)
+    | Some stats_of ->
+      (* digest/repair traffic of the anti-entropy protocol, summed over
+         every id's replica, alongside the runner's wire telemetry so E21
+         can hold repair bytes against the Theorem 12 floor *)
+      let gs = Haec_store.Store_intf.fresh_gossip_stats () in
+      for r = 0 to capacity - 1 do
+        Haec_store.Store_intf.add_gossip_stats gs (stats_of (R.replica_state sim r))
+      done;
       let c name v = Obs.Counter.add (Obs.Registry.counter metrics name) v in
       c "gossip.digests" gs.Haec_store.Store_intf.digests;
       c "gossip.digest_bytes" gs.Haec_store.Store_intf.digest_bytes;
@@ -281,12 +284,8 @@ struct
 end
 
 module Make (S : Haec_store.Store_intf.S) = struct
-  module D = Haec_store.Durable.Make (S)
-  module AE = Haec_store.Anti_entropy.Make (S)
-  module DA = Haec_store.Durable.Make (AE)
-
   module Oracle_drive = Drive (struct
-    include D
+    include Haec_store.Durable.Make (S)
 
     let recovery = `Oracle
 
@@ -296,41 +295,32 @@ module Make (S : Haec_store.Store_intf.S) = struct
 
     let classify = None
 
-    let reset_stats () = ()
-
-    let gossip_stats () = None
+    let gossip_stats = None
   end)
 
+  (* the same replica stack the live cluster runs *)
+  module St = Haec_store.Stack.Durable (S)
+
   module Ae_drive = Drive (struct
-    include DA
+    include St
 
     let recovery = `Anti_entropy
 
-    (* the tick mutates only unlogged control state, so it goes under the
-       durable image without a WAL entry; [settled] reads through both
-       transformers *)
-    let gossip =
-      Some
-        ( DA.map_inner AE.tick,
-          fun states -> AE.settled (Array.map DA.inner states) )
+    let gossip = Some (St.tick, St.settled)
 
-    (* membership announcements are control state too: [map_inner], no WAL
-       entry — a recovering replica re-announces through normal gossip *)
     let hooks =
       Some
         {
-          Runner.progress = (fun st -> AE.have (DA.inner st));
-          on_join = (fun ~epoch st -> DA.map_inner (AE.announce_join ~epoch) st);
+          Runner.progress = St.progress;
+          on_join = St.announce_join;
           on_leave =
             (fun ~epoch ~graceful st ->
-              if graceful then DA.map_inner (AE.announce_leave ~epoch) st else st);
+              if graceful then St.announce_leave ~epoch st else st);
         }
 
     let classify = Some Haec_store.Anti_entropy.classify
 
-    let reset_stats () = AE.reset_gossip_stats ()
-
-    let gossip_stats () = Some (AE.gossip_stats ())
+    let gossip_stats = Some St.gossip_stats
   end)
 
   let run_plan ?objects ?spec_of ?policy ?max_events ?require

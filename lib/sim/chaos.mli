@@ -13,10 +13,11 @@
 
     Two recovery stacks are built per store. Under the default [`Oracle]
     the runner itself retransmits every loss — the frozen omniscient
-    baseline. Under [`Anti_entropy] the store is additionally wrapped in
-    {!Haec_store.Anti_entropy.Make} and must close its own gaps over the
-    wire: the runner retransmits nothing, and quiescence means the
-    protocol's digest exchange converged. Combined with
+    baseline. Under [`Anti_entropy] the store runs as
+    {!Haec_store.Stack.Durable}, the replica stack the live cluster runs,
+    and must close its own gaps over the wire: the runner retransmits
+    nothing, and quiescence means the protocol's digest exchange
+    converged. Combined with
     [~adversarial:true] plans (duplication, reordering, dead links), this
     is the paper's sufficiently-connected-network setting made executable.
 
@@ -52,7 +53,8 @@ type outcome = {
       (** the runner's wire/visibility telemetry (see {!Runner.Make.metrics});
           under [`Anti_entropy] also the [gossip.*] digest/repair traffic
           counters (items and encoded bytes, plus [gossip.dup_payloads] and
-          [gossip.repair_applied]) *)
+          [gossip.repair_applied]), summed over every replica's own
+          counters *)
   spans : Haec_obs.Span.t list;
       (** the run's lifecycle span stream (see {!Runner.Make.spans});
           under [`Anti_entropy] transmit spans carry protocol item kinds

@@ -268,37 +268,19 @@ module Make (S : Store_intf.S) : sig
   (** Queue a [Goodbye] for the next broadcast: a graceful leave. A
       crash-leave announces nothing. *)
 
-  val gossip_stats : unit -> Store_intf.gossip_stats
-  (** Aggregate traffic counters across every replica of this module on
-      the calling domain, like {!Causal_mvr_store.delivery_stats}. *)
+  val gossip_stats : state -> Store_intf.gossip_stats
+  (** A copy of this replica's traffic counters: everything it has sent
+      and absorbed since [init]. Every state derived from one replica
+      counts into the same record, so read the latest. *)
 
-  val reset_gossip_stats : unit -> unit
+  val carry_stats : from:state -> state -> state
+  (** The state counting into [from]'s counters from here on, its own
+      dropped. How a replica rebuilt after a crash keeps what its
+      crashed incarnation counted, and leaves out what the rebuild
+      itself counted. *)
 end = struct
   module Int_map = Map.Make (Int)
   module Int_set = Set.Make (Int)
-
-  let stats_key = Domain.DLS.new_key Store_intf.fresh_gossip_stats
-
-  let stats () = Domain.DLS.get stats_key
-
-  let gossip_stats () = Store_intf.copy_gossip_stats (stats ())
-
-  let reset_gossip_stats () =
-    let s = stats () in
-    s.Store_intf.digests <- 0;
-    s.Store_intf.digest_bytes <- 0;
-    s.Store_intf.repairs <- 0;
-    s.Store_intf.repair_bytes <- 0;
-    s.Store_intf.requests <- 0;
-    s.Store_intf.request_bytes <- 0;
-    s.Store_intf.updates <- 0;
-    s.Store_intf.update_bytes <- 0;
-    s.Store_intf.dup_payloads <- 0;
-    s.Store_intf.repair_applied <- 0;
-    s.Store_intf.memberships <- 0;
-    s.Store_intf.membership_bytes <- 0;
-    s.Store_intf.digest_deltas <- 0;
-    s.Store_intf.digests_elided <- 0
 
   type peer = {
     view : Vclock.t;  (** pointwise max of every digest heard from this peer *)
@@ -341,6 +323,9 @@ end = struct
     emit : Wire.Version.t;  (** see [emit_version] *)
     last_sent_digest : Vclock.t option;  (** [have] as of the last digest sent *)
     last_full_round : int;  (** round of the last full digest sent *)
+    stats : Store_intf.gossip_stats;
+        (** this replica's counters, allocated at [init]; shared by every
+            state derived from it *)
   }
 
   let name = "anti-entropy(" ^ S.name ^ ")"
@@ -379,9 +364,14 @@ end = struct
       emit = Wire.Version.current ();
       last_sent_digest = None;
       last_full_round = 0;
+      stats = Store_intf.fresh_gossip_stats ();
     }
 
   let inner t = t.inner
+
+  let gossip_stats t = Store_intf.copy_gossip_stats t.stats
+
+  let carry_stats ~from t = { t with stats = from.stats }
 
   let rounds t = t.rounds
 
@@ -453,12 +443,12 @@ end = struct
 
   let ingest t ~origin ~seq ~payload ~via_repair =
     if seq < Vclock.get t.have origin || log_find t ~origin ~seq <> None then begin
-      (stats ()).Store_intf.dup_payloads <- (stats ()).Store_intf.dup_payloads + 1;
+      t.stats.Store_intf.dup_payloads <- t.stats.Store_intf.dup_payloads + 1;
       t
     end
     else begin
       if via_repair then
-        (stats ()).Store_intf.repair_applied <- (stats ()).Store_intf.repair_applied + 1;
+        t.stats.Store_intf.repair_applied <- t.stats.Store_intf.repair_applied + 1;
       cascade (log_add t ~origin ~seq payload) ~origin
     end
 
@@ -787,8 +777,7 @@ end = struct
          | None -> false)
       && not (S.has_pending t.inner)
     then begin
-      (stats ()).Store_intf.digests_elided <-
-        (stats ()).Store_intf.digests_elided + 1;
+      t.stats.Store_intf.digests_elided <- t.stats.Store_intf.digests_elided + 1;
       t
     end
     else { t with outq_rev = Out_digest { force_full = false } :: t.outq_rev }
@@ -889,7 +878,7 @@ end = struct
       + (match digest_mode with `Full | `Delta _ -> 1 | `Absent | `Elide -> 0)
       + List.length outs + List.length repair_packets
     in
-    let st = stats () in
+    let st = t.stats in
     let payload =
       Wire.encode (fun enc ->
           if v2 then begin

@@ -48,21 +48,6 @@ module Immediate = struct
 end
 
 module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
-  (* one counter record per domain: parallel sweeps (Haec_util.Par) must
-     not race their instrumentation, and a reset/run/read sequence inside
-     one task stays coherent because a task never migrates domains *)
-  let stats_key = Domain.DLS.new_key Store_intf.fresh_delivery_stats
-
-  let stats () = Domain.DLS.get stats_key
-
-  let delivery_stats () = Store_intf.copy_delivery_stats (stats ())
-
-  let reset_delivery_stats () =
-    let stats = stats () in
-    stats.Store_intf.scans <- 0;
-    stats.Store_intf.delivered <- 0;
-    stats.Store_intf.max_buffer <- 0
-
   type update_record = {
     origin : int;
     useq : int;  (** per-origin update sequence number, from 1 *)
@@ -139,6 +124,9 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
     hidden : (update_record * int) Fqueue.t;
         (** delivered but unexposed updates in delivery order, each with
             the [reads] value at which it ripens *)
+    stats : Store_intf.delivery_stats;
+        (** this replica's buffer work, allocated at [init]; shared by
+            every state derived from it *)
   }
 
   let name = P.name
@@ -160,7 +148,10 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
       waiting = Int_map.empty;
       reads = 0;
       hidden = Fqueue.empty;
+      stats = Store_intf.fresh_delivery_stats ();
     }
+
+  let delivery_stats t = Store_intf.copy_delivery_stats t.stats
 
   let obj_state t obj =
     match Int_map.find_opt obj t.objects with Some o -> o | None -> Obj.empty ~n:t.n
@@ -216,8 +207,7 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
      deliverable. One call is the indexed analogue of one full
      deliverability scan of the old list buffer, so it carries the
      [scans] accounting the E20 experiment compares. *)
-  let blocker uv r =
-    let stats = stats () in
+  let blocker stats uv r =
     stats.Store_intf.scans <- stats.Store_intf.scans + 1;
     if Vclock.get uv r.origin < r.useq - 1 then Some (r.origin, r.useq - 1)
     else begin
@@ -318,7 +308,7 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
           buffer := add_rec !buffer r;
           incr buffered)
         fresh_records;
-      let stats = stats () in
+      let stats = t.stats in
       stats.Store_intf.max_buffer <- max stats.Store_intf.max_buffer !buffered;
       let work = Queue.create () in
       List.iter (fun r -> Queue.add (r.origin, r.useq) work) fresh_records;
@@ -333,7 +323,7 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
             decr buffered
           end
           else begin
-            match blocker uv r with
+            match blocker stats uv r with
             | Some b -> waiting := add_wait !waiting ~blocker:b (o, s)
             | None ->
               buffer := remove_rec !buffer o s;

@@ -12,9 +12,6 @@
 
 include Store_intf.S
 
-val delivery_stats : unit -> Store_intf.delivery_stats
-(** Delivery-buffer work counters (scans, deliveries, peak buffered),
-    aggregated across all replicas of this module; read by the E20 soak
-    benchmark. *)
-
-val reset_delivery_stats : unit -> unit
+val delivery_stats : state -> Store_intf.delivery_stats
+(** A copy of this replica's delivery-buffer work counters (scans,
+    deliveries, peak buffered); read by the E20 soak benchmark. *)

@@ -6,7 +6,5 @@
 
 include Store_intf.S
 
-val delivery_stats : unit -> Store_intf.delivery_stats
-(** Buffer work counters, aggregated across all replicas of this module. *)
-
-val reset_delivery_stats : unit -> unit
+val delivery_stats : state -> Store_intf.delivery_stats
+(** A copy of this replica's buffer work counters. *)

@@ -16,11 +16,12 @@
 open Haec_model
 open Haec_vclock
 
-(** Instrumentation shared by delivery layers that buffer remote updates:
-    how much work the buffer did, aggregated across every replica of the
-    instantiated store module (the counters are module-global, not part of
-    the pure per-replica state). The soak benchmark (E20) reads these to
-    show how buffer cost scales with the number of buffered records. *)
+(** Instrumentation of delivery layers that buffer remote updates: how
+    much work one replica's buffer did. Each replica allocates its own
+    mutable record at [init], and every state derived from that replica
+    counts into it; a driver that wants totals sums its own replicas with
+    {!add_delivery_stats}. The soak benchmark (E20) reads these to show
+    how buffer cost scales with the number of buffered records. *)
 type delivery_stats = {
   mutable scans : int;
       (** deliverability checks performed against buffered records *)
@@ -35,12 +36,20 @@ let fresh_delivery_stats () = { scans = 0; delivered = 0; max_buffer = 0 }
 let copy_delivery_stats s =
   { scans = s.scans; delivered = s.delivered; max_buffer = s.max_buffer }
 
+(** [add_delivery_stats dst src] adds [src]'s work into [dst]; the peak
+    stays a peak (the larger of the two). *)
+let add_delivery_stats dst src =
+  dst.scans <- dst.scans + src.scans;
+  dst.delivered <- dst.delivered + src.delivered;
+  dst.max_buffer <- max dst.max_buffer src.max_buffer
+
 (** Instrumentation for the anti-entropy gossip layer ({!Anti_entropy}),
-    aggregated across every replica of the instantiated store module, same
-    module-global convention as {!delivery_stats}. Counts are per broadcast
-    payload (the simulator fans one payload out to [n-1] peers); bytes are
-    wire bytes of the encoded items inside those payloads, so the E21
-    digest/repair traffic columns measure real encoded bytes. *)
+    per replica like {!delivery_stats}. Counts are per broadcast payload
+    (the simulator fans one payload out to [n-1] peers); bytes are wire
+    bytes of the encoded items inside those payloads, so the E21
+    digest/repair traffic columns measure real encoded bytes. A replica
+    rebuilt after a crash keeps its counters, and the sends its WAL
+    replay re-encodes are not traffic ({!Stack}). *)
 type gossip_stats = {
   mutable digests : int;  (** digest items sent *)
   mutable digest_bytes : int;
@@ -97,6 +106,24 @@ let copy_gossip_stats s =
     digest_deltas = s.digest_deltas;
     digests_elided = s.digests_elided;
   }
+
+(** [add_gossip_stats dst src] adds [src]'s counters into [dst]: how a
+    driver totals the replicas it runs. *)
+let add_gossip_stats dst src =
+  dst.digests <- dst.digests + src.digests;
+  dst.digest_bytes <- dst.digest_bytes + src.digest_bytes;
+  dst.repairs <- dst.repairs + src.repairs;
+  dst.repair_bytes <- dst.repair_bytes + src.repair_bytes;
+  dst.requests <- dst.requests + src.requests;
+  dst.request_bytes <- dst.request_bytes + src.request_bytes;
+  dst.updates <- dst.updates + src.updates;
+  dst.update_bytes <- dst.update_bytes + src.update_bytes;
+  dst.dup_payloads <- dst.dup_payloads + src.dup_payloads;
+  dst.repair_applied <- dst.repair_applied + src.repair_applied;
+  dst.memberships <- dst.memberships + src.memberships;
+  dst.membership_bytes <- dst.membership_bytes + src.membership_bytes;
+  dst.digest_deltas <- dst.digest_deltas + src.digest_deltas;
+  dst.digests_elided <- dst.digests_elided + src.digests_elided
 
 type witness = {
   visible : (int * Dot.t) list;

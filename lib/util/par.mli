@@ -11,9 +11,11 @@
     - a task's result depends only on its input (for seed sweeps: the
       seed, through a private {!Rng.t}), never on shared mutable state
       or on wall-clock time;
-    - domain-shared caches in the library (the wire scratch encoder,
-      delivery-stats counters) are domain-local ([Domain.DLS]), so
-      tasks on different domains cannot observe each other;
+    - instrumentation counters live in each replica's own state, and
+      the one library cache, the wire scratch encoder, is domain-local,
+      so tasks on different domains cannot observe each other;
+      process-wide settings (the wire version, the anti-entropy
+      tunables) are set before a sweep starts and only read during it;
     - results land in per-task slots and are published by
       [Domain.join], so the caller reads them race-free and in input
       order.

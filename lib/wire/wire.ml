@@ -444,20 +444,23 @@ let size_bits s = 8 * String.length s
 module Frame = struct
   (* Standard reflected CRC-32 (IEEE 802.3 polynomial). Catches every
      burst error up to 32 bits — in particular any single corrupted byte —
-     and longer random corruption with probability 1 - 2^-32. *)
+     and longer random corruption with probability 1 - 2^-32. The table
+     is built eagerly at module initialisation, before any domain can
+     exist: a shared [lazy] forced by two domains at once raises
+     [CamlinternalLazy.Undefined] in one of them. *)
   let table =
-    lazy
-      (Array.init 256 (fun n ->
-           let c = ref n in
-           for _ = 0 to 7 do
-             c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-           done;
-           !c))
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
 
   let crc32 s =
-    let t = Lazy.force table in
     let c = ref 0xFFFFFFFF in
-    String.iter (fun ch -> c := t.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8)) s;
+    String.iter
+      (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
+      s;
     !c lxor 0xFFFFFFFF
 
   (* Sealing goes through the pooled scratch encoder ([encode]) rather

@@ -8,12 +8,17 @@ module Fault_plan = Sim.Fault_plan
 module Vclock = Clock.Vclock
 module AE = Store.Anti_entropy.Make (Store.Mvr_store)
 
+(* the traffic both replicas counted, summed as a driver does *)
+let gossip_of states =
+  let gs = Store.Store_intf.fresh_gossip_stats () in
+  List.iter (fun st -> Store.Store_intf.add_gossip_stats gs (AE.gossip_stats st)) states;
+  gs
+
 (* ---------- the protocol, by hand ---------- *)
 
 (* Two replicas, one lost update: the digest exchange must detect the gap
    and push exactly the missing payload — no runner, no oracle. *)
 let test_digest_repair_exchange () =
-  AE.reset_gossip_stats ();
   let a = AE.init ~n:2 ~me:0 and b = AE.init ~n:2 ~me:1 in
   let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 1)) in
   let a, p1 = AE.send a in
@@ -37,7 +42,7 @@ let test_digest_repair_exchange () =
   let _, ra, _ = AE.do_op a ~obj:0 Model.Op.Read in
   let _, rb, _ = AE.do_op b ~obj:0 Model.Op.Read in
   Alcotest.(check bool) "reads agree" true (ra = rb);
-  let gs = AE.gossip_stats () in
+  let gs = gossip_of [ a; b ] in
   Alcotest.(check bool) "digest traffic counted" true
     (gs.Store.Store_intf.digests > 0 && gs.Store.Store_intf.digest_bytes > 0);
   Alcotest.(check bool) "repair traffic counted" true
@@ -65,7 +70,6 @@ let test_out_of_order_buffered () =
 (* Duplicate deliveries are absorbed by the log: state unchanged, the
    duplicate counted. *)
 let test_duplicates_dropped () =
-  AE.reset_gossip_stats ();
   let a = AE.init ~n:2 ~me:0 in
   let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 7)) in
   let _, p1 = AE.send a in
@@ -76,7 +80,7 @@ let test_duplicates_dropped () =
     (Vclock.get (AE.have b) 0)
     (Vclock.get (AE.have b') 0);
   Alcotest.(check int) "no orphans" 0 (AE.orphans b');
-  let gs = AE.gossip_stats () in
+  let gs = gossip_of [ a; b' ] in
   Alcotest.(check bool) "duplicate counted" true
     (gs.Store.Store_intf.dup_payloads > 0)
 
@@ -320,6 +324,37 @@ let test_shrink_none_on_converging_run () =
   Alcotest.(check bool) "nothing to shrink" true
     (Sim.Shrink.minimize ~run ~plan ~steps () = None)
 
+(* The gossip counters claim no more item bytes than the payloads every
+   replica actually sent: a crashed replica's WAL replay re-encodes its
+   old sends, and those must not count as traffic. *)
+let test_counters_bounded_by_payload () =
+  let outcomes =
+    Sim.Catalogue.run_seeds ~recovery:`Anti_entropy ~adversarial:true
+      (Sim.Catalogue.get "causal") ~seeds:(seeds 1 12)
+  in
+  List.iter
+    (fun o ->
+      let counter name =
+        Obs.Metrics.Counter.value
+          (Obs.Metrics.Registry.counter o.Sim.Chaos.metrics name)
+      in
+      let claimed =
+        List.fold_left
+          (fun acc kind -> acc + counter ("gossip." ^ kind ^ "_bytes"))
+          0
+          [ "update"; "digest"; "repair"; "request"; "membership" ]
+      in
+      let sent =
+        List.fold_left
+          (fun acc m -> acc + String.length m.Model.Message.payload)
+          0
+          (Model.Execution.messages_sent o.Sim.Chaos.exec)
+      in
+      if claimed > sent then
+        Alcotest.failf "seed %d: gossip counters claim %d B, payloads sent %d B"
+          o.Sim.Chaos.seed claimed sent)
+    outcomes
+
 let suite =
   ( "anti-entropy",
     [
@@ -345,6 +380,7 @@ let suite =
         Sim.Workload.register_mix (seeds 23 28);
       tc "ae chaos exercises permanent loss and repair" test_ae_run_exercises_protocol;
       tc "ae chaos deterministic in the seed" test_ae_deterministic;
+      tc "gossip counters within the payload bytes sent" test_counters_bounded_by_payload;
       tc "shrink minimizes an occ failure to <= 10 ops" test_shrink_minimizes;
       tc "shrink bit-identical across domain counts" test_shrink_parallel_deterministic;
       tc "shrink returns None when the run converges" test_shrink_none_on_converging_run;

@@ -12,9 +12,9 @@ module Cluster = Live.Cluster
 module Metrics = Obs.Metrics
 
 module AE = Store.Anti_entropy.Make (Store.Causal_mvr_store)
-module Stack = Live.Stack.Volatile (Store.Causal_mvr_store)
+module Stack = Store.Stack.Volatile (Store.Causal_mvr_store)
 module C = Cluster.Make (Stack)
-module DStack = Live.Stack.Durable (Store.Causal_mvr_store)
+module DStack = Store.Stack.Durable (Store.Causal_mvr_store)
 module DC = Cluster.Make (DStack)
 module Fault_plan = Sim.Fault_plan
 
@@ -650,6 +650,66 @@ let test_durable_stack_recover_roundtrip () =
   (* a volatile stack's recover is the identity and it says so *)
   Alcotest.(check bool) "volatile stack is not durable" false Stack.durable
 
+(* the item bytes the gossip counters claim were sent *)
+let claimed_bytes (g : Store.Store_intf.gossip_stats) =
+  g.update_bytes + g.digest_bytes + g.repair_bytes + g.request_bytes
+  + g.membership_bytes
+
+(* counters survive a crash, and the sends the WAL replay re-encodes are
+   not traffic: recovery leaves them exactly as they were *)
+let test_durable_recover_keeps_counters () =
+  let s = ref (DStack.init ~n:2 ~me:0) in
+  for i = 1 to 20 do
+    let s', _, _ = DStack.do_op !s ~obj:(i mod 4) (Model.Op.Write (Model.Value.Int i)) in
+    let s', _ = DStack.send s' in
+    s := s'
+  done;
+  let before = DStack.gossip_stats !s in
+  Alcotest.(check int) "twenty updates sent" 20 before.Store.Store_intf.updates;
+  let after = DStack.gossip_stats (DStack.recover !s) in
+  Alcotest.(check int) "updates unchanged by recover" before.Store.Store_intf.updates
+    after.Store.Store_intf.updates;
+  Alcotest.(check int) "update bytes unchanged by recover"
+    before.Store.Store_intf.update_bytes after.Store.Store_intf.update_bytes;
+  Alcotest.(check bool) "every counter unchanged by recover" true (before = after)
+
+let test_live_counters_bounded_by_payload () =
+  let plan =
+    Fault_plan.scaled ~factor:chaos_cfg.Cluster.duration
+      (Fault_plan.make
+         ~crashes:[ { Fault_plan.replica = 1; at = 0.2; recover_at = 0.5 } ]
+         ~horizon:1.0 ())
+  in
+  let r = DC.run { chaos_cfg with Cluster.faults = Some plan; capture = false } in
+  Alcotest.(check int) "one crash fired" 1 r.Cluster.crashes;
+  let claimed = claimed_bytes r.Cluster.gossip in
+  Alcotest.(check bool)
+    (Printf.sprintf "gossip items (%d B) fit in the payloads sent (%d B)" claimed
+       r.Cluster.payload_bytes)
+    true
+    (claimed > 0 && claimed <= r.Cluster.payload_bytes)
+
+(* replica 1 is the only receiver of replica 0's frames, so its receive
+   is the one that raises *)
+module Failing = struct
+  include Stack
+
+  let receive st ~sender payload =
+    if sender = 0 then failwith "replica 1 failed" else Stack.receive st ~sender payload
+end
+
+module FC = Cluster.Make (Failing)
+
+(* a domain that raises must fail [run], not hang it: with a 2-slot ring
+   replica 0 fills its link to the dead replica at once *)
+let test_live_domain_exception_fails_run () =
+  match
+    FC.run
+      { Cluster.default with duration = 0.1; ring_capacity = 2; heal_by = 0.2 }
+  with
+  | _ -> Alcotest.fail "run returned although replica 1 raised"
+  | exception Failure m -> Alcotest.(check string) "the domain's exception" "replica 1 failed" m
+
 let suite =
   ( "live",
     [
@@ -703,4 +763,10 @@ let suite =
         test_live_crash_plan_requires_durable_stack;
       Alcotest.test_case "live: durable stack recover roundtrip" `Quick
         test_durable_stack_recover_roundtrip;
+      Alcotest.test_case "live: durable stack recover keeps counters" `Quick
+        test_durable_recover_keeps_counters;
+      Alcotest.test_case "live: gossip counters within payload bytes" `Quick
+        test_live_counters_bounded_by_payload;
+      Alcotest.test_case "live: a raising domain fails run" `Quick
+        test_live_domain_exception_fails_run;
     ] )
