@@ -95,6 +95,7 @@ module Sim = struct
   module Net_policy = Haec_sim.Net_policy
   module Fault_plan = Haec_sim.Fault_plan
   module Membership = Haec_sim.Membership
+  module Node = Haec_sim.Node
   module Runner = Haec_sim.Runner
   module Workload = Haec_sim.Workload
   module Scenario = Haec_sim.Scenario

@@ -6,6 +6,7 @@ open Haec_spec
 module Obs = Haec_obs.Metrics
 module Store_intf = Haec_store.Store_intf
 module Fault_plan = Haec_sim.Fault_plan
+module Node = Haec_sim.Node
 
 type config = {
   replicas : int;
@@ -98,43 +99,83 @@ type result = {
    oldest client op the frame carries (NaN for pure control traffic) *)
 type frame = { bytes : string; seq : int; issued_at : float }
 
-(* a timestamped local event plus, for do events under capture, the
-   witness the store reported *)
-type tev = { at : float; ev : Event.t; wit : Store_intf.witness option }
+(* Interleave the per-replica event logs into one execution, ordering
+   by timestamp but never emitting a receive before its send: each step
+   picks the earliest enabled head. An enabled head always exists — a
+   cycle of receives each waiting on a send behind another blocked
+   receive would be a causal cycle, impossible since every send precedes
+   its receives in real time on its own replica — but a blocked fallback
+   keeps the merge total regardless of clock skew. The witness index is
+   fed in the same pass, so its vis edges respect the merged H order. *)
+let merge ~n logs =
+  let per = Array.map (fun log -> Array.of_list (Node.Log.entries log)) logs in
+  let idx = Array.make n 0 in
+  let sent = Hashtbl.create 1024 in
+  let total = Array.fold_left (fun a evs -> a + Array.length evs) 0 per in
+  let events_rev = ref [] in
+  let witness = Node.Witness.create () in
+  for _ = 1 to total do
+    let best = ref (-1) in
+    let best_at = ref infinity in
+    let blocked = ref (-1) in
+    let blocked_at = ref infinity in
+    for r = 0 to n - 1 do
+      if idx.(r) < Array.length per.(r) then begin
+        let te = per.(r).(idx.(r)) in
+        let is_blocked =
+          match te.Node.Log.ev with
+          | Event.Receive { msg; _ } ->
+            not (Hashtbl.mem sent (msg.Message.sender, msg.Message.seq))
+          | _ -> false
+        in
+        if is_blocked then begin
+          if te.at < !blocked_at then begin
+            blocked := r;
+            blocked_at := te.at
+          end
+        end
+        else if te.at < !best_at then begin
+          best := r;
+          best_at := te.at
+        end
+      end
+    done;
+    let r = if !best >= 0 then !best else !blocked in
+    let te = per.(r).(idx.(r)) in
+    idx.(r) <- idx.(r) + 1;
+    (match te.ev with
+    | Event.Send { msg; _ } -> Hashtbl.replace sent (msg.Message.sender, msg.Message.seq) ()
+    | Event.Do d -> ignore (Node.Witness.add witness d te.wit)
+    | _ -> ());
+    events_rev := te.ev :: !events_rev
+  done;
+  (Execution.of_list ~n (List.rev !events_rev), Node.Witness.abstract witness ~n)
 
 module Make (S : Haec_store.Stack.S) = struct
+  module N = Node.Make (S)
+
   type node = {
     me : int;
     n : int;
     cfg : config;
     clock : unit -> float;
-    mutable state : S.state;
+    replica : N.t;
+    log : Node.Log.t;  (* this replica's events, when capturing *)
     inbox : frame Spsc.t array;  (* indexed by source replica *)
     outbox : frame Spsc.t array;  (* indexed by destination replica *)
     rng : Rng.t;
     samp : Load.sampler;
     g : Load.gen;
-    mutable send_seq : int;
-    mutable dos : int;
     mutable reads : int;
-    mutable frames_sent : int;
-    mutable frames_recv : int;
-    mutable payload_bytes : int;
     mutable wire_bytes : int;
     mutable bytes_recv : int;
     mutable stalls : int;
     stalls_by : int array;  (* per destination, for live.ring.stall.* *)
-    mutable max_payload : int;
     mutable qd_peak : int;
     mutable pb_peak : int;
     lag : Obs.Histogram.t;
     mutable oldest_unflushed : float;  (* NaN when no unflushed update *)
     mutable last_tick : float;
-    mutable events_rev : tev list;
-    mutable on_full : int -> unit;
-        (* invoked (with the full destination) until the push succeeds;
-           the live loop drains its own inbox — peers blocked pushing to
-           us make progress once we pop, so the mesh cannot deadlock *)
     faults : Faults.t option;
     up : bool Atomic.t array;
         (* shared liveness board: cell [r] is written only by domain [r]
@@ -157,30 +198,23 @@ module Make (S : Haec_store.Stack.S) = struct
       n;
       cfg;
       clock;
-      state = S.init ~n ~me;
+      replica = N.create ~recover:S.recover ~n ~me ();
+      log = (if cfg.capture then Node.Log.create ~witnesses:true () else Node.Log.discard ());
       inbox = Array.init n (fun src -> rings.(src).(me));
       outbox = rings.(me);
       rng = Rng.create (cfg.seed + (me * 1_000_003));
       samp = Load.sampler ~objects:cfg.objects ~theta:cfg.zipf;
       g = Load.gen ~replica:me cfg.mix;
-      send_seq = 0;
-      dos = 0;
       reads = 0;
-      frames_sent = 0;
-      frames_recv = 0;
-      payload_bytes = 0;
       wire_bytes = 0;
       bytes_recv = 0;
       stalls = 0;
       stalls_by = Array.make n 0;
-      max_payload = 0;
       qd_peak = 0;
       pb_peak = 0;
       lag = Obs.Histogram.create ();
       oldest_unflushed = Float.nan;
       last_tick = 0.0;
-      events_rev = [];
-      on_full = (fun _ -> ());
       faults;
       up;
       crash_sched = [||];
@@ -191,8 +225,10 @@ module Make (S : Haec_store.Stack.S) = struct
       delayed = Array.make n [];
     }
 
+  (* the capture timestamp; the clock is read only when the log records *)
+  let stamp node = if Node.Log.recording node.log then node.clock () else 0.0
+
   let receive_frame node ~src (f : frame) =
-    node.frames_recv <- node.frames_recv + 1;
     node.bytes_recv <- node.bytes_recv + String.length f.bytes;
     match Wire.Frame.unseal f.bytes with
     | exception Wire.Decoder.Malformed _ ->
@@ -201,23 +237,12 @@ module Make (S : Haec_store.Stack.S) = struct
          anti-entropy repair heals *)
       node.frames_rejected <- node.frames_rejected + 1
     | payload ->
-      let before = Vclock.get (S.progress node.state) src in
-      node.state <- S.receive node.state ~sender:src payload;
-      if
-        Vclock.get (S.progress node.state) src > before
-        && not (Float.is_nan f.issued_at)
-      then Obs.Histogram.observe node.lag ((node.clock () -. f.issued_at) *. 1000.0);
-      if node.cfg.capture then
-        node.events_rev <-
-          {
-            at = node.clock ();
-            ev =
-              Event.Receive
-                { replica = node.me;
-                  msg = { Message.sender = src; seq = f.seq; payload } };
-            wit = None;
-          }
-          :: node.events_rev
+      let progress () = Vclock.get (S.progress (N.state node.replica)) src in
+      let before = progress () in
+      N.receive node.replica node.log ~at:(stamp node)
+        { Message.sender = src; seq = f.seq; payload };
+      if progress () > before && not (Float.is_nan f.issued_at) then
+        Obs.Histogram.observe node.lag ((node.clock () -. f.issued_at) *. 1000.0)
 
   let drain node =
     let got = ref 0 in
@@ -237,7 +262,8 @@ module Make (S : Haec_store.Stack.S) = struct
     !got
 
   (* The ring never blocks: full means the consumer is behind (drain our
-     own inbox via [on_full] and retry — the mesh cannot deadlock) or
+     own inbox and retry — peers blocked pushing to us make progress once
+     we pop, so the mesh cannot deadlock) or
      crashed (the frame dies on the wire, like bytes sent to a dead
      process). *)
   let push_ring node ~dst f =
@@ -250,7 +276,7 @@ module Make (S : Haec_store.Stack.S) = struct
       else begin
         node.stalls <- node.stalls + 1;
         node.stalls_by.(dst) <- node.stalls_by.(dst) + 1;
-        node.on_full dst;
+        ignore (drain node);
         go ()
       end
     in
@@ -281,28 +307,10 @@ module Make (S : Haec_store.Stack.S) = struct
       done
 
   let rec flush node =
-    if S.has_pending node.state then begin
-      let st, payload = S.send node.state in
-      node.state <- st;
-      let seq = node.send_seq in
-      node.send_seq <- seq + 1;
-      let plen = String.length payload in
-      node.payload_bytes <- node.payload_bytes + plen;
-      if plen > node.max_payload then node.max_payload <- plen;
-      node.frames_sent <- node.frames_sent + 1;
-      if node.cfg.capture then
-        node.events_rev <-
-          {
-            at = node.clock ();
-            ev =
-              Event.Send
-                { replica = node.me;
-                  msg = { Message.sender = node.me; seq; payload } };
-            wit = None;
-          }
-          :: node.events_rev;
-      let bytes = Wire.Frame.seal payload in
-      let f = { bytes; seq; issued_at = node.oldest_unflushed } in
+    if N.has_pending node.replica then begin
+      let msg = N.send node.replica node.log ~at:(stamp node) in
+      let bytes = Wire.Frame.seal msg.Message.payload in
+      let f = { bytes; seq = msg.Message.seq; issued_at = node.oldest_unflushed } in
       node.oldest_unflushed <- Float.nan;
       for dst = 0 to node.n - 1 do
         if dst <> node.me then begin
@@ -334,10 +342,7 @@ module Make (S : Haec_store.Stack.S) = struct
      run ended while the replica was down (it then stays down). *)
   let crash_restart node ~phase ~recover_at =
     node.crashes <- node.crashes + 1;
-    if node.cfg.capture then
-      node.events_rev <-
-        { at = node.clock (); ev = Event.Crash { replica = node.me }; wit = None }
-        :: node.events_rev;
+    N.crash node.replica node.log ~at:(stamp node);
     Atomic.set node.up.(node.me) false;
     (* delayed outbound frames were the dead process's memory *)
     for dst = 0 to node.n - 1 do
@@ -358,7 +363,7 @@ module Make (S : Haec_store.Stack.S) = struct
            fresh replica) and discard whatever the rings held for the
            dead process — those losses are permanent until anti-entropy
            repair heals them *)
-        node.state <- S.recover node.state;
+        N.recover node.replica node.log ~at:(stamp node);
         for src = 0 to node.n - 1 do
           if src <> node.me then begin
             let more = ref true in
@@ -371,12 +376,6 @@ module Make (S : Haec_store.Stack.S) = struct
         done;
         node.oldest_unflushed <- Float.nan;
         node.last_tick <- node.clock ();
-        if node.cfg.capture then
-          node.events_rev <-
-            { at = node.clock ();
-              ev = Event.Recover { replica = node.me };
-              wit = None }
-            :: node.events_rev;
         Atomic.set node.up.(node.me) true;
         true
       end
@@ -390,30 +389,21 @@ module Make (S : Haec_store.Stack.S) = struct
       (match op with Op.Read -> node.reads <- node.reads + 1 | _ -> ());
       if Op.is_update op && Float.is_nan node.oldest_unflushed then
         node.oldest_unflushed <- node.clock ();
-      let st, rval, wit = S.do_op node.state ~obj op in
-      node.state <- st;
-      node.dos <- node.dos + 1;
-      if node.cfg.capture then
-        node.events_rev <-
-          {
-            at = node.clock ();
-            ev = Event.Do { Event.replica = node.me; obj; op; rval };
-            wit = Some (Lazy.force wit);
-          }
-          :: node.events_rev
+      ignore (N.op node.replica node.log ~at:(stamp node) ~obj op)
     done
 
   let maybe_tick node ~now =
     if now -. node.last_tick >= node.cfg.gossip_interval then begin
       node.last_tick <- now;
-      node.state <- S.tick node.state;
+      N.control node.replica S.tick;
       flush node
     end
 
   let sample_backpressure node =
-    let qd = S.queue_depth node.state in
+    let state = N.state node.replica in
+    let qd = S.queue_depth state in
     if qd > node.qd_peak then node.qd_peak <- qd;
-    let pb = S.pending_bytes node.state in
+    let pb = S.pending_bytes state in
     if pb > node.pb_peak then node.pb_peak <- pb
 
   (* phase protocol: 0 = load, 1 = drain (no new client ops, keep
@@ -464,100 +454,20 @@ module Make (S : Haec_store.Stack.S) = struct
         end;
         (* answer control traffic (repairs, requests) promptly even when
            not issuing *)
-        if got > 0 && S.has_pending node.state then flush node;
+        if got > 0 && N.has_pending node.replica then flush node;
         pump_delayed node;
         maybe_tick node ~now:(node.clock ());
         if ph > 0 || !iters land 1023 = 0 then begin
           sample_backpressure node;
-          Atomic.set cell (Some { s_state = node.state; s_phase = ph })
+          Atomic.set cell (Some { s_state = N.state node.replica; s_phase = ph })
         end;
         if ph = 1 then begin
-          if S.has_pending node.state then flush node;
+          if N.has_pending node.replica then flush node;
           if got = 0 then Domain.cpu_relax ()
         end
         else if ph >= 2 then running := false
       end
     done
-
-  (* Interleave the per-replica event logs into one execution, ordering
-     by timestamp but never emitting a receive before its send: each
-     step picks the earliest enabled head. An enabled head always
-     exists — a cycle of receives each waiting on a send behind another
-     blocked receive would be a causal cycle, impossible since every
-     send precedes its receives in real time on its own replica — but a
-     blocked fallback keeps the merge total regardless of clock skew.
-     The witness is assembled runner-style in the same pass: each do
-     event's visible (obj, dot) pairs resolve against the self dots of
-     earlier merged do events, giving vis edges that respect H order by
-     construction. *)
-  let assemble ~n results =
-    let per =
-      Array.map (fun node -> Array.of_list (List.rev node.events_rev)) results
-    in
-    let idx = Array.make n 0 in
-    let sent = Hashtbl.create 1024 in
-    let total = Array.fold_left (fun a evs -> a + Array.length evs) 0 per in
-    let events_rev = ref [] in
-    let dot_pos = Hashtbl.create 1024 in
-    let dos_rev = ref [] in
-    let vis = ref [] in
-    let do_count = ref 0 in
-    for _ = 1 to total do
-      let best = ref (-1) in
-      let best_at = ref infinity in
-      let blocked = ref (-1) in
-      let blocked_at = ref infinity in
-      for r = 0 to n - 1 do
-        if idx.(r) < Array.length per.(r) then begin
-          let te = per.(r).(idx.(r)) in
-          let is_blocked =
-            match te.ev with
-            | Event.Receive { msg; _ } ->
-              not (Hashtbl.mem sent (msg.Message.sender, msg.Message.seq))
-            | _ -> false
-          in
-          if is_blocked then begin
-            if te.at < !blocked_at then begin
-              blocked := r;
-              blocked_at := te.at
-            end
-          end
-          else if te.at < !best_at then begin
-            best := r;
-            best_at := te.at
-          end
-        end
-      done;
-      let r = if !best >= 0 then !best else !blocked in
-      let te = per.(r).(idx.(r)) in
-      idx.(r) <- idx.(r) + 1;
-      (match te.ev with
-      | Event.Send { msg; _ } ->
-        Hashtbl.replace sent (msg.Message.sender, msg.Message.seq) ()
-      | Event.Do de ->
-        let j = !do_count in
-        (match te.wit with
-        | Some w ->
-          List.iter
-            (fun key ->
-              match Hashtbl.find_opt dot_pos key with
-              | Some i when i <> j -> vis := (i, j) :: !vis
-              | Some _ | None -> ())
-            w.Store_intf.visible;
-          (match w.Store_intf.self with
-          | Some dot -> Hashtbl.replace dot_pos (de.Event.obj, dot) j
-          | None -> ())
-        | None -> ());
-        dos_rev := de :: !dos_rev;
-        incr do_count
-      | _ -> ());
-      events_rev := te.ev :: !events_rev
-    done;
-    let exec = Execution.of_list ~n (List.rev !events_rev) in
-    let witness =
-      Abstract.create ~n (Array.of_list (List.rev !dos_rev)) ~vis:!vis
-    in
-    (exec, witness)
 
   let harvest cfg ~elapsed ~drain_elapsed ~outcome ~availability ~recovery_ms
       ~faults results =
@@ -567,14 +477,14 @@ module Make (S : Haec_store.Stack.S) = struct
       Array.map
         (fun node ->
           {
-            ops = node.dos;
+            ops = N.ops node.replica;
             issued = Load.issued node.g;
             reads = node.reads;
             updates = Load.writes node.g;
-            frames_sent = node.frames_sent;
-            frames_recv = node.frames_recv;
+            frames_sent = N.sent node.replica;
+            frames_recv = N.received node.replica + node.frames_rejected;
             frames_rejected = node.frames_rejected;
-            payload_bytes = node.payload_bytes;
+            payload_bytes = N.payload_bytes node.replica;
             wire_bytes = node.wire_bytes;
             bytes_recv = node.bytes_recv;
             stalls = node.stalls;
@@ -595,7 +505,7 @@ module Make (S : Haec_store.Stack.S) = struct
     let wire_bytes = sum (fun r -> r.wire_bytes) in
     let stalls = sum (fun r -> r.stalls) in
     let max_payload_bytes =
-      Array.fold_left (fun a node -> max a node.max_payload) 0 results
+      Array.fold_left (fun a node -> max a (N.max_payload node.replica)) 0 results
     in
     let queue_depth_peak = peak (fun r -> r.queue_depth_peak) in
     let pending_bytes_peak = peak (fun r -> r.pending_bytes_peak) in
@@ -603,7 +513,7 @@ module Make (S : Haec_store.Stack.S) = struct
     Array.iter (fun node -> Obs.Histogram.merge_into lag_ms node.lag) results;
     let gossip = Store_intf.fresh_gossip_stats () in
     Array.iter
-      (fun node -> Store_intf.add_gossip_stats gossip (S.gossip_stats node.state))
+      (fun node -> Store_intf.add_gossip_stats gossip (S.gossip_stats (N.state node.replica)))
       results;
     let ops_per_sec =
       if elapsed > 0.0 then float_of_int total_ops /. elapsed else 0.0
@@ -654,21 +564,10 @@ module Make (S : Haec_store.Stack.S) = struct
       c "faults.corrupts" t.corrupts;
       c "faults.crash_lost" t.crash_lost
     | None -> ());
-    c "gossip.digests" gossip.Store_intf.digests;
-    c "gossip.digest_bytes" gossip.Store_intf.digest_bytes;
-    c "gossip.digest_deltas" gossip.Store_intf.digest_deltas;
-    c "gossip.digests_elided" gossip.Store_intf.digests_elided;
-    c "gossip.repairs" gossip.Store_intf.repairs;
-    c "gossip.repair_bytes" gossip.Store_intf.repair_bytes;
-    c "gossip.requests" gossip.Store_intf.requests;
-    c "gossip.request_bytes" gossip.Store_intf.request_bytes;
-    c "gossip.updates" gossip.Store_intf.updates;
-    c "gossip.update_bytes" gossip.Store_intf.update_bytes;
-    c "gossip.dup_payloads" gossip.Store_intf.dup_payloads;
-    c "gossip.repair_applied" gossip.Store_intf.repair_applied;
+    Haec_sim.Telemetry.record_gossip reg gossip;
     let trace, witness =
       if cfg.capture then begin
-        let exec, wit = assemble ~n results in
+        let exec, wit = merge ~n (Array.map (fun node -> node.log) results) in
         (Some exec, Some wit)
       end
       else (None, None)
@@ -708,6 +607,7 @@ module Make (S : Haec_store.Stack.S) = struct
     if cfg.replicas < 1 then invalid_arg "Cluster.run: replicas must be >= 1";
     if cfg.objects < 1 then invalid_arg "Cluster.run: objects must be >= 1";
     if cfg.batch < 1 then invalid_arg "Cluster.run: batch must be >= 1";
+    if cfg.duration <= 0.0 then invalid_arg "Cluster.run: duration must be > 0";
     if cfg.ring_capacity < 2 then
       invalid_arg "Cluster.run: ring capacity must be >= 2";
     if not (Float.is_finite cfg.gossip_interval) || cfg.gossip_interval < 0.0
@@ -761,7 +661,6 @@ module Make (S : Haec_store.Stack.S) = struct
 
   let run cfg =
     validate cfg;
-    if cfg.duration <= 0.0 then invalid_arg "Cluster.run: duration must be > 0";
     let n = cfg.replicas in
     let faults =
       match (cfg.faults, cfg.drop_p > 0.0) with
@@ -787,7 +686,6 @@ module Make (S : Haec_store.Stack.S) = struct
                  pushing into its rings instead of spinning on them *)
               try
                 let node = make_node cfg ~me ~clock ~rings ~faults ~up in
-                node.on_full <- (fun _ -> ignore (drain node));
                 while not (Atomic.get gate) do
                   Domain.cpu_relax ()
                 done;
@@ -966,74 +864,4 @@ module Make (S : Haec_store.Stack.S) = struct
     in
     harvest cfg ~elapsed ~drain_elapsed ~outcome ~availability ~recovery_ms
       ~faults results
-
-  let run_inline ?(ops_per_replica = 64) ?(tick_every = 8) cfg =
-    let cfg = { cfg with capture = true; rate = 0.0 } in
-    validate cfg;
-    if cfg.faults <> None || cfg.drop_p > 0.0 then
-      invalid_arg
-        "Cluster.run_inline: fault injection needs the multi-domain runtime";
-    if ops_per_replica < 1 then
-      invalid_arg "Cluster.run_inline: ops_per_replica must be >= 1";
-    if tick_every < 1 then
-      invalid_arg "Cluster.run_inline: tick_every must be >= 1";
-    let n = cfg.replicas in
-    let vt = ref 0.0 in
-    let clock () =
-      vt := !vt +. 1e-6;
-      !vt
-    in
-    let rings =
-      Array.init n (fun _ -> Array.init n (fun _ -> Spsc.create cfg.ring_capacity))
-    in
-    let up = Array.init n (fun _ -> Atomic.make true) in
-    let nodes =
-      Array.init n (fun me -> make_node cfg ~me ~clock ~rings ~faults:None ~up)
-    in
-    Array.iter
-      (fun node -> node.on_full <- (fun dst -> ignore (drain nodes.(dst))))
-      nodes;
-    let t0 = Unix.gettimeofday () in
-    for round = 1 to ops_per_replica do
-      Array.iter
-        (fun node ->
-          ignore (drain node);
-          issue node ~count:1;
-          flush node)
-        nodes;
-      if round mod tick_every = 0 then
-        Array.iter
-          (fun node ->
-            node.state <- S.tick node.state;
-            flush node)
-          nodes
-    done;
-    let states () = Array.map (fun node -> node.state) nodes in
-    let quiet () =
-      Array.for_all (fun row -> Array.for_all Spsc.is_empty row) rings
-      && Array.for_all (fun node -> not (S.has_pending node.state)) nodes
-    in
-    let done_ () = quiet () && S.settled (states ()) in
-    let guard = ref 0 in
-    while (not (done_ ())) && !guard < 10_000 do
-      incr guard;
-      Array.iter
-        (fun node ->
-          ignore (drain node);
-          if S.has_pending node.state then flush node)
-        nodes;
-      if quiet () && not (S.settled (states ())) then
-        Array.iter
-          (fun node ->
-            node.state <- S.tick node.state;
-            flush node)
-          nodes
-    done;
-    if not (done_ ()) then failwith "Cluster.run_inline: did not reach quiescence";
-    let elapsed = Unix.gettimeofday () -. t0 in
-    harvest cfg ~elapsed ~drain_elapsed:0.0
-      ~outcome:(Healed { degraded_settled = false })
-      ~availability:1.0
-      ~recovery_ms:(Obs.Histogram.create ())
-      ~faults:None nodes
 end

@@ -2,9 +2,10 @@
     encoded [Wire.Frame] bytes over {!Spsc} rings, driven by a
     closed-loop {!Load} generator.
 
-    Each domain owns one replica stack ({!Haec_store.Stack.S}: a store
-    wrapped in [Anti_entropy.Make]) outright — states, RNGs, histograms and event
-    logs are never shared; the only cross-domain traffic is sealed frame
+    Each domain owns one replica outright: a {!Haec_sim.Node} — the same
+    replica step the simulator's runner drives — over a replica stack
+    ({!Haec_store.Stack.S}: a store wrapped in [Anti_entropy.Make]).
+    States, RNGs, histograms and event logs are never shared; the only cross-domain traffic is sealed frame
     bytes through the rings and small atomic snapshot cells the
     coordinator polls. Metrics follow the same discipline: every domain
     accumulates into its own counters and histogram, and the harvest
@@ -19,15 +20,12 @@
     the socket transport will use — a corrupted ring slot would surface
     as a [Malformed] frame, not silent divergence.
 
-    {b Auditable.} With [capture] on, every domain timestamps its local
-    events; the harvest interleaves the per-replica logs into one
-    {!Haec_model.Execution.t} (ordering by wall-clock time, but never
-    emitting a [receive] before its [send] — the per-replica orders and
-    the send/receive matching are what well-formedness and the checkers
-    consume; cross-replica timestamp skew cannot produce an invalid
-    interleaving) and assembles the witness abstract execution from the
-    per-op witnesses exactly as the simulator's runner does. The same
-    causal/OCC checkers that audit simulations audit live runs.
+    {b Auditable.} With [capture] on, every node logs its events, stamped
+    with wall-clock time, into its own {!Haec_sim.Node.Log}; the harvest
+    interleaves them with {!merge} into one {!Haec_model.Execution.t} and
+    feeds the per-op witnesses to the same {!Haec_sim.Node.Witness} index
+    the simulator's runner uses. The same causal/OCC checkers that audit
+    simulations audit live runs.
 
     {b Visibility lag} (Definition 17, wall-clock): when an update is
     issued, its issue time rides in the frame that first carries it; a
@@ -145,6 +143,14 @@ type result = {
   witness : Haec_spec.Abstract.t option;
 }
 
+val merge : n:int -> Haec_sim.Node.Log.t array -> Execution.t * Haec_spec.Abstract.t
+(** Interleave per-replica logs (indexed by replica) into one execution
+    and its witness abstract execution. Events are ordered by timestamp,
+    but a [receive] is never emitted before its [send]: the per-replica
+    orders and the send/receive matching are what well-formedness and the
+    checkers consume, so cross-replica clock skew cannot produce an
+    invalid interleaving. *)
+
 module Make (S : Haec_store.Stack.S) : sig
   val run : config -> result
   (** Spawn [replicas] domains, drive the load phase for [duration],
@@ -155,14 +161,4 @@ module Make (S : Haec_store.Stack.S) : sig
       they would push to it, as to a crashed replica); once every domain
       has joined, [run] re-raises the lowest-numbered domain's
       exception. *)
-
-  val run_inline : ?ops_per_replica:int -> ?tick_every:int -> config -> result
-  (** The same node code, single-domain and deterministic: replicas run
-      round-robin on the calling domain under a virtual clock, each
-      issuing exactly [ops_per_replica] ops (one per turn, ignoring
-      [batch] and [rate]), with a gossip tick every [tick_every] rounds,
-      then drain to quiescence. Capture is forced on; the result carries
-      a trace and witness, and two runs with the same config are
-      bit-identical — the live-vs-sim equivalence anchor.
-      Raises [Failure] if quiescence is not reached (a protocol bug). *)
 end

@@ -88,27 +88,22 @@ let derive ?(n = 3) ?(objects = 2) ?(ops = 40) ?(mix = Workload.register_mix)
   let steps = Workload.generate ~rng ~n ~objects ~ops mix in
   (plan, steps)
 
-(* One recovery stack: a durable store driven through a runner, with the
-   gossip hooks (or their absence) baked in. Instantiated twice per store —
-   the omniscient [`Oracle] baseline and the protocol-level
+(* One recovery stack: a durable store driven through a runner, with or
+   without its anti-entropy stack. Instantiated twice per store — the
+   omniscient [`Oracle] baseline (no stack) and the protocol-level
    [`Anti_entropy] stack. *)
 module Drive (DS : sig
   include Haec_store.Store_intf.S
 
   val recover : state -> state
 
-  val recovery : Runner.recovery
-
-  val gossip : ((state -> state) * (state array -> bool)) option
-
-  val hooks : state Runner.membership_hooks option
-
-  val classify : (string -> string) option
-
-  val gossip_stats : (state -> Haec_store.Store_intf.gossip_stats) option
+  val stack : (module Haec_store.Stack.S with type state = state) option
 end) =
 struct
   module R = Runner.Make (DS)
+
+  let recovery : Runner.recovery =
+    match DS.stack with Some _ -> `Anti_entropy | None -> `Oracle
 
   (* First replica at or after [r] that can serve, if any — a client whose
      home replica is down or churned away fails over to another one
@@ -139,7 +134,7 @@ struct
           invalid_arg
             (Printf.sprintf "Chaos.run_plan: plan churn has initial=%d but n=%d"
                c.Fault_plan.initial n);
-        (match DS.recovery with
+        (match recovery with
         | `Anti_entropy -> ()
         | `Oracle ->
           (* a joiner bootstraps over digest/repair, and a crash-leaver's
@@ -148,16 +143,10 @@ struct
           invalid_arg "Chaos.run_plan: churn requires `Anti_entropy recovery");
         (c.Fault_plan.capacity, c.Fault_plan.initial)
     in
-    let gossip =
-      match DS.gossip with
-      | None -> None
-      | Some (tick, settled) -> Some (gossip_interval, tick, settled)
-    in
     let sim =
-      R.create ~seed ~n:capacity ~initial ?hooks:DS.hooks ?classify:DS.classify ~policy
-        ~faults:plan ~recovery:DS.recovery ?gossip
-        ~recover_state:(fun ~replica:_ st -> DS.recover st)
-        ()
+      let recover_state = match DS.stack with None -> Some DS.recover | Some _ -> None in
+      R.create ~seed ~n:capacity ~initial ~policy ~faults:plan ?stack:DS.stack
+        ~gossip_interval ?recover_state ()
     in
     let skipped = ref 0 in
     let executed = ref 0 in
@@ -239,37 +228,23 @@ struct
         Error (Printf.sprintf "corruption escaped the frame check: %s" m)
     in
     let metrics = R.metrics sim in
-    (match DS.gossip_stats with
+    (match DS.stack with
     | None -> ()
-    | Some stats_of ->
+    | Some (module St : Haec_store.Stack.S with type state = DS.state) ->
       (* digest/repair traffic of the anti-entropy protocol, summed over
          every id's replica, alongside the runner's wire telemetry so E21
          can hold repair bytes against the Theorem 12 floor *)
       let gs = Haec_store.Store_intf.fresh_gossip_stats () in
       for r = 0 to capacity - 1 do
-        Haec_store.Store_intf.add_gossip_stats gs (stats_of (R.replica_state sim r))
+        Haec_store.Store_intf.add_gossip_stats gs (St.gossip_stats (R.replica_state sim r))
       done;
-      let c name v = Obs.Counter.add (Obs.Registry.counter metrics name) v in
-      c "gossip.digests" gs.Haec_store.Store_intf.digests;
-      c "gossip.digest_bytes" gs.Haec_store.Store_intf.digest_bytes;
-      c "gossip.repairs" gs.Haec_store.Store_intf.repairs;
-      c "gossip.repair_bytes" gs.Haec_store.Store_intf.repair_bytes;
-      c "gossip.requests" gs.Haec_store.Store_intf.requests;
-      c "gossip.request_bytes" gs.Haec_store.Store_intf.request_bytes;
-      c "gossip.updates" gs.Haec_store.Store_intf.updates;
-      c "gossip.update_bytes" gs.Haec_store.Store_intf.update_bytes;
-      c "gossip.dup_payloads" gs.Haec_store.Store_intf.dup_payloads;
-      c "gossip.repair_applied" gs.Haec_store.Store_intf.repair_applied;
-      c "gossip.memberships" gs.Haec_store.Store_intf.memberships;
-      c "gossip.membership_bytes" gs.Haec_store.Store_intf.membership_bytes;
-      c "gossip.digest_deltas" gs.Haec_store.Store_intf.digest_deltas;
-      c "gossip.digests_elided" gs.Haec_store.Store_intf.digests_elided);
+      Telemetry.record_gossip metrics gs);
     {
       seed;
       plan;
       steps;
       require;
-      recovery = DS.recovery;
+      recovery;
       stats = R.stats sim;
       metrics;
       spans = R.spans sim;
@@ -287,15 +262,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
   module Oracle_drive = Drive (struct
     include Haec_store.Durable.Make (S)
 
-    let recovery = `Oracle
-
-    let gossip = None
-
-    let hooks = None
-
-    let classify = None
-
-    let gossip_stats = None
+    let stack = None
   end)
 
   (* the same replica stack the live cluster runs *)
@@ -304,23 +271,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
   module Ae_drive = Drive (struct
     include St
 
-    let recovery = `Anti_entropy
-
-    let gossip = Some (St.tick, St.settled)
-
-    let hooks =
-      Some
-        {
-          Runner.progress = St.progress;
-          on_join = St.announce_join;
-          on_leave =
-            (fun ~epoch ~graceful st ->
-              if graceful then St.announce_leave ~epoch st else st);
-        }
-
-    let classify = Some Haec_store.Anti_entropy.classify
-
-    let gossip_stats = Some St.gossip_stats
+    let stack = Some (module St : Haec_store.Stack.S with type state = St.state)
   end)
 
   let run_plan ?objects ?spec_of ?policy ?max_events ?require

@@ -1,6 +1,5 @@
 open Haec_util
 open Haec_model
-open Haec_spec
 open Haec_vclock
 open Haec_wire
 module Obs = Haec_obs.Metrics
@@ -22,18 +21,11 @@ type stats = {
 
 type recovery = [ `Oracle | `Anti_entropy ]
 
-(* How the runner talks membership to the store protocol: [progress] is an
-   observation-only read of how far a state has caught up (the anti-entropy
-   [have] vector, read through the durable layer), [on_join]/[on_leave]
-   queue the wire-level announcements on the replica itself. Like the
-   gossip tick, these mutate only unlogged control state. *)
-type 'state membership_hooks = {
-  progress : 'state -> Haec_vclock.Vclock.t;
-  on_join : epoch:int -> 'state -> 'state;
-  on_leave : epoch:int -> graceful:bool -> 'state -> 'state;
-}
-
 module Make (S : Haec_store.Store_intf.S) = struct
+  module N = Node.Make (S)
+
+  module type STACK = Haec_store.Stack.S with type state = S.state
+
   type delivery = { dst : int; msg : Message.t }
 
   (* The scheduled-event queue carries deliveries and, when gossip
@@ -43,42 +35,33 @@ module Make (S : Haec_store.Store_intf.S) = struct
      frame. *)
   type qevent = Deliver of delivery | Transmit of int
 
-  (* The gossip driver of a protocol-level recovery store: every
-     [interval] of simulated time the runner ticks each live replica
-     (queuing its digest broadcast) and flushes it; [settled] is the
-     quiescence oracle — observation-only omniscience over the replica
-     states, while repair itself stays on the wire. *)
-  type gossip = {
-    interval : float;
-    tick : S.state -> S.state;
-    settled : S.state array -> bool;
-  }
-
   type t = {
     n : int;  (** the id-space capacity; members may be a subset *)
     rng : Rng.t;
     policy : Net_policy.t option;
     faults : Fault_plan.t option;
-    recovery : recovery;
-    gossip : gossip option;
+    stack : (module STACK) option;
+        (** the anti-entropy stack: its gossip tick every [gossip_interval]
+            of simulated time, its [settled] quiescence oracle
+            (observation-only omniscience over the replica states, while
+            repair itself stays on the wire), its [progress] read and its
+            membership announcements; present exactly under
+            [`Anti_entropy] recovery *)
+    gossip_interval : float;
     mutable membership : Membership.t;
-    hooks : S.state membership_hooks option;
     bootstrap : (int, Vclock.t * float) Hashtbl.t;
         (** bootstrapping replica -> (catch-up target, join time) *)
     mutable next_gossip : float;
-    recover_state : replica:int -> S.state -> S.state;
     auto_send : bool;
-    record_witness : bool;
     coalesce : bool;
     coalesce_window : float;
     dirty : bool array;  (** replicas owing a deferred (coalesced) flush *)
-    states : S.state array;
-    down : bool array;
+    nodes : N.t array;
+    log : Node.Log.t;  (** every node's events, in execution order *)
+    witness : Node.Witness.t;  (** fed as operations happen *)
     mutable lost_rev : delivery list;
         (** deliveries the network lost (crashed destination, faulted link);
             owed a retransmission once the destination is back *)
-    mutable events_rev : Event.t list;
-    send_seq : int array;
     queue : qevent Pqueue.t;
     mutable now_ : float;
     (* fault statistics *)
@@ -95,19 +78,12 @@ module Make (S : Haec_store.Store_intf.S) = struct
     mutable s_bootstrap_bytes : int;
         (** payload bytes delivered to bootstrapping replicas *)
     bootstrap_hist : Obs.Histogram.t;  (** join-to-serving latency *)
-    (* witness bookkeeping, indexed by do-event position in H *)
-    mutable do_count : int;
-    dot_pos : (int * Dot.t, int) Hashtbl.t;  (* (obj, dot) -> do index *)
-    mutable wit_rev : (int * (int * Dot.t) list) list;
-    mutable do_rev : Event.do_event list;
     (* per-link monotone delivery times, for FIFO policies *)
     mutable fifo_last : float array;
     (* wire telemetry *)
-    msg_count : int array;  (* sends per replica *)
     payload_hist : Obs.Histogram.t;  (* bytes per sent payload *)
     fanout_hist : Obs.Histogram.t;  (* deliveries scheduled per send *)
     mutable s_duplicates : int;
-    mutable s_deliveries : int;
     (* visibility-lag telemetry: when did each do event happen, and which
        (update, observer) pairs have already been witnessed *)
     do_info : (int, float * int) Hashtbl.t;  (* do index -> (time, replica) *)
@@ -118,7 +94,6 @@ module Make (S : Haec_store.Store_intf.S) = struct
        already flowing through the runner, so the stream is bit-identical
        at any [-j]. Implies [record_witness]. *)
     record_spans : bool;
-    classify : (string -> string) option;  (* payload -> protocol item kinds *)
     mutable spans_rev : Haec_obs.Span.t list;
     unsent_ops : (int * int) list array;
         (** per replica: (do index, obj) of updates awaiting their first
@@ -142,47 +117,40 @@ module Make (S : Haec_store.Store_intf.S) = struct
 
   let create ?(seed = 42) ?(record_witness = true) ?(record_spans = true)
       ?(auto_send = true) ?(coalesce = false) ?(coalesce_window = 2.0) ?policy ?faults
-      ?(recovery = `Oracle) ?gossip ?initial ?hooks ?classify
-      ?(recover_state = fun ~replica:_ st -> st) ~n () =
+      ?stack ?(gossip_interval = 2.0) ?initial ?recover_state ~n () =
     if n <= 0 then invalid_arg "Runner.create: n must be positive";
     if coalesce_window < 0.0 then invalid_arg "Runner.create: negative coalesce window";
     let initial = match initial with None -> n | Some i -> i in
     if initial <= 0 || initial > n then
       invalid_arg "Runner.create: initial members must be in [1, n]";
-    let gossip =
-      match gossip with
-      | None -> None
-      | Some ((interval, _, _) as g) ->
-        if interval <= 0.0 then invalid_arg "Runner.create: gossip interval must be positive";
-        let interval, tick, settled = g in
-        Some { interval; tick; settled }
+    if gossip_interval <= 0.0 then
+      invalid_arg "Runner.create: gossip interval must be positive";
+    let recover =
+      match (stack, recover_state) with
+      | Some (module St : STACK), None ->
+        Some St.recover
+      | None, r -> r
+      | Some _, Some _ ->
+        invalid_arg "Runner.create: a stack recovers through its own recover"
     in
-    (match (recovery, gossip) with
-    | `Anti_entropy, None ->
-      invalid_arg "Runner.create: `Anti_entropy recovery needs a gossip driver"
-    | (`Oracle | `Anti_entropy), _ -> ());
     {
       n;
       rng = Rng.create seed;
       policy;
       faults;
-      recovery;
-      gossip;
+      stack;
+      gossip_interval;
       membership = Membership.create ~capacity:n ~initial;
-      hooks;
       bootstrap = Hashtbl.create 8;
-      next_gossip = (match gossip with Some g -> g.interval | None -> infinity);
-      recover_state;
+      next_gossip = (if Option.is_some stack then gossip_interval else infinity);
       auto_send;
-      record_witness;
       coalesce;
       coalesce_window;
       dirty = Array.make n false;
-      states = Array.init n (fun me -> S.init ~n ~me);
-      down = Array.make n false;
+      nodes = Array.init n (fun me -> N.create ?recover ~n ~me ());
+      log = Node.Log.create ~witnesses:record_witness ();
+      witness = Node.Witness.create ();
       lost_rev = [];
-      events_rev = [];
-      send_seq = Array.make n 0;
       queue = Pqueue.create ();
       now_ = 0.0;
       s_crashes = 0;
@@ -197,21 +165,14 @@ module Make (S : Haec_store.Store_intf.S) = struct
       s_leaves = 0;
       s_bootstrap_bytes = 0;
       bootstrap_hist = Obs.Histogram.create ();
-      do_count = 0;
-      dot_pos = Hashtbl.create 64;
-      wit_rev = [];
-      do_rev = [];
       fifo_last = Array.make (n * n) 0.0;
-      msg_count = Array.make n 0;
       payload_hist = Obs.Histogram.create ();
       fanout_hist = Obs.Histogram.create ();
       s_duplicates = 0;
-      s_deliveries = 0;
       do_info = Hashtbl.create 64;
       first_seen = Hashtbl.create 256;
       lag_hist = Obs.Histogram.create ();
       record_spans = record_spans && record_witness;
-      classify;
       spans_rev = [];
       unsent_ops = Array.make n [];
       op_sent = Hashtbl.create 64;
@@ -230,7 +191,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
 
   let now t = t.now_
 
-  let is_down t ~replica = t.down.(replica)
+  let is_down t ~replica = N.is_down t.nodes.(replica)
 
   let stats t =
     {
@@ -262,21 +223,23 @@ module Make (S : Haec_store.Store_intf.S) = struct
 
   let bootstrap_latency t = t.bootstrap_hist
 
+  let sum f t = Array.fold_left (fun a node -> a + f node) 0 t.nodes
+
   let metrics t =
     let reg = Obs.Registry.create () in
     let c name v = Obs.Counter.add (Obs.Registry.counter reg name) v in
-    c "wire.messages" (Array.fold_left ( + ) 0 t.msg_count);
-    Array.iteri (fun r v -> c (Printf.sprintf "wire.messages.r%d" r) v) t.msg_count;
+    c "wire.messages" (sum N.sent t);
+    Array.iteri (fun r node -> c (Printf.sprintf "wire.messages.r%d" r) (N.sent node)) t.nodes;
     Obs.Registry.register reg "wire.payload_bytes" (Obs.Registry.Histogram t.payload_hist);
     Obs.Registry.register reg "wire.fanout" (Obs.Registry.Histogram t.fanout_hist);
-    c "wire.deliveries" t.s_deliveries;
+    c "wire.deliveries" (sum N.received t);
     c "wire.duplicates" t.s_duplicates;
     c "wire.retransmissions" t.s_retransmitted;
     c "wire.dropped" t.s_dropped;
     c "wire.corrupt_rejected" t.s_corrupt_rejected;
     c "wire.lost_permanent" t.s_lost_permanent;
     Obs.Registry.register reg "visibility.lag" (Obs.Registry.Histogram t.lag_hist);
-    c "sim.ops" t.do_count;
+    c "sim.ops" (sum N.ops t);
     c "sim.crashes" t.s_crashes;
     c "sim.recoveries" t.s_recoveries;
     c "sim.gossip_rounds" t.s_gossip_rounds;
@@ -287,9 +250,14 @@ module Make (S : Haec_store.Store_intf.S) = struct
     Obs.Gauge.set (Obs.Registry.gauge reg "sim.now") t.now_;
     reg
 
-  let has_pending t ~replica = S.has_pending t.states.(replica)
+  let has_pending t ~replica = N.has_pending t.nodes.(replica)
 
-  let record t e = t.events_rev <- e :: t.events_rev
+  (* the stack's view of how far a state has caught up: the anti-entropy
+     [have] vector, read through whatever layers the stack adds *)
+  let progress t =
+    match t.stack with
+    | Some (module St : STACK) -> Some St.progress
+    | None -> None
 
   let retransmit_delay t ~src ~dst =
     match t.policy with
@@ -301,7 +269,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
     let at = t.now_ +. retransmit_delay t ~src:d.msg.Message.sender ~dst:d.dst in
     Pqueue.add t.queue ~priority:at (Deliver d)
 
-  let oracle t = match t.recovery with `Oracle -> true | `Anti_entropy -> false
+  let oracle t = Option.is_none t.stack
 
   (* a delivery the network will never perform and the runner will never
      retransmit: the store protocol alone must make up for it *)
@@ -411,33 +379,29 @@ module Make (S : Haec_store.Store_intf.S) = struct
       done;
       Obs.Histogram.observe t.fanout_hist (float_of_int !scheduled)
 
-  (* The common send path: pull one payload, wrap, record, schedule. Span
+  (* The common send path: the node sends, the runner schedules. Span
      bookkeeping happens before delivery scheduling, so a same-instant
      loss (dead link) already sees the transmit. An op's carrying message
      is pinned the first time the protocol's own self-progress component
-     ticks across a send (read through [hooks.progress]); without hooks
-     any flush is assumed to carry everything issued since the last. *)
+     ticks across a send (read through the stack's [progress]); without a
+     stack any flush is assumed to carry everything issued since the
+     last. *)
   let send_one t ~replica =
-    let before_self =
-      match t.hooks with
-      | Some h when t.record_spans ->
-        Some (Vclock.get (h.progress t.states.(replica)) replica)
+    let node = t.nodes.(replica) in
+    let self_progress () =
+      match progress t with
+      | Some p when t.record_spans -> Some (Vclock.get (p (N.state node)) replica)
       | _ -> None
     in
-    let state, payload = S.send t.states.(replica) in
-    t.states.(replica) <- state;
-    let seq = t.send_seq.(replica) in
-    let msg = { Message.sender = replica; seq; payload } in
-    t.send_seq.(replica) <- t.send_seq.(replica) + 1;
-    t.msg_count.(replica) <- t.msg_count.(replica) + 1;
+    let before_self = self_progress () in
+    let msg = N.send node t.log ~at:t.now_ in
+    let seq = msg.Message.seq and payload = msg.Message.payload in
     Obs.Histogram.observe t.payload_hist (float_of_int (String.length payload));
     if t.record_spans then begin
       Hashtbl.replace t.sent_time (replica, seq) t.now_;
       let carried =
-        match (before_self, t.hooks) with
-        | Some before, Some h ->
-          let after = Vclock.get (h.progress t.states.(replica)) replica in
-          if after > before then Some (after - 1) else None
+        match (before_self, self_progress ()) with
+        | Some before, Some after -> if after > before then Some (after - 1) else None
         | _ -> Some (-1)
       in
       let ops =
@@ -460,7 +424,9 @@ module Make (S : Haec_store.Store_intf.S) = struct
         ops;
       let op_ids = List.map fst ops in
       Hashtbl.replace t.msg_ops (replica, seq) op_ids;
-      let kinds = match t.classify with Some f -> f payload | None -> "" in
+      let kinds =
+        if Option.is_some t.stack then Haec_store.Anti_entropy.classify payload else ""
+      in
       span t
         (Haec_obs.Span.Transmit
            {
@@ -472,14 +438,13 @@ module Make (S : Haec_store.Store_intf.S) = struct
              ops = op_ids;
            })
     end;
-    record t (Event.Send { replica; msg });
     schedule_deliveries t ~src:replica msg;
     msg
 
   let flush t ~replica =
     t.dirty.(replica) <- false;
-    if t.down.(replica) || not (S.has_pending t.states.(replica)) then None
-    else Some (send_one t ~replica)
+    let node = t.nodes.(replica) in
+    if N.is_down node || not (N.has_pending node) then None else Some (send_one t ~replica)
 
   (* With coalescing on, a dirty replica defers its flush by one window so
      that further updates inside the window share the frame; the transmit
@@ -487,7 +452,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
   let auto_flush t ~replica =
     if t.auto_send then
       if not t.coalesce then ignore (flush t ~replica)
-      else if (not t.dirty.(replica)) && S.has_pending t.states.(replica) then begin
+      else if (not t.dirty.(replica)) && N.has_pending t.nodes.(replica) then begin
         t.dirty.(replica) <- true;
         Pqueue.add t.queue ~priority:(t.now_ +. t.coalesce_window) (Transmit replica)
       end
@@ -546,26 +511,21 @@ module Make (S : Haec_store.Store_intf.S) = struct
      attribute, so the runner refuses the operation outright — the paper's
      high-availability guarantee is scoped to serving members. *)
   let op t ~replica ~obj o =
-    if t.down.(replica) then
-      invalid_arg (Printf.sprintf "Runner.op: replica %d is crashed" replica);
     if not (Membership.is_serving t.membership replica) then
       invalid_arg
         (Printf.sprintf "Runner.op: replica %d is %s, not serving" replica
            (Membership.status_name (Membership.status t.membership replica)));
-    let state, rval, witness = S.do_op t.states.(replica) ~obj o in
-    t.states.(replica) <- state;
-    let d = { Event.replica; obj; op = o; rval } in
-    record t (Event.Do d);
-    if t.record_witness then begin
-      let w = Lazy.force witness in
-      t.wit_rev <- (t.do_count, w.Haec_store.Store_intf.visible) :: t.wit_rev;
+    let rval, witness = N.op t.nodes.(replica) t.log ~at:t.now_ ~obj o in
+    (match witness with
+    | None -> ()
+    | Some w ->
       (* visibility lag: the first time this replica witnesses an update
          that originated elsewhere, record how long it was in flight in
          simulated time (staleness, Definition 17's "eventually visible"
          made quantitative) *)
       List.iter
         (fun key ->
-          match Hashtbl.find_opt t.dot_pos key with
+          match Node.Witness.find t.witness key with
           | Some i -> (
             match Hashtbl.find_opt t.do_info i with
             | Some (t0, origin) when origin <> replica ->
@@ -584,15 +544,10 @@ module Make (S : Haec_store.Store_intf.S) = struct
             | Some _ | None -> ())
           | None -> ())
         w.Haec_store.Store_intf.visible;
-      (match w.Haec_store.Store_intf.self with
-      | Some dot -> Hashtbl.replace t.dot_pos (obj, dot) t.do_count
-      | None -> ());
-      Hashtbl.replace t.do_info t.do_count (t.now_, replica);
+      let j = Node.Witness.add t.witness { Event.replica; obj; op = o; rval } witness in
+      Hashtbl.replace t.do_info j (t.now_, replica);
       if t.record_spans && Op.is_update o then
-        t.unsent_ops.(replica) <- (t.do_count, obj) :: t.unsent_ops.(replica)
-    end;
-    t.do_rev <- d :: t.do_rev;
-    t.do_count <- t.do_count + 1;
+        t.unsent_ops.(replica) <- (j, obj) :: t.unsent_ops.(replica));
     auto_flush t ~replica;
     rval
 
@@ -604,10 +559,10 @@ module Make (S : Haec_store.Store_intf.S) = struct
     match Hashtbl.find_opt t.bootstrap replica with
     | None -> ()
     | Some (target, since) -> (
-      match t.hooks with
+      match progress t with
       | None -> ()
-      | Some h ->
-        if Vclock.leq target (h.progress t.states.(replica)) then begin
+      | Some progress ->
+        if Vclock.leq target (progress (N.state t.nodes.(replica))) then begin
           Hashtbl.remove t.bootstrap replica;
           t.membership <- Membership.promote t.membership replica;
           Obs.Histogram.observe t.bootstrap_hist (t.now_ -. since);
@@ -627,16 +582,11 @@ module Make (S : Haec_store.Store_intf.S) = struct
   let deliver_msg t ~dst msg =
     if dst = msg.Message.sender then
       invalid_arg "Runner.deliver_msg: replica cannot receive its own message";
-    if t.down.(dst) then
-      invalid_arg (Printf.sprintf "Runner.deliver_msg: replica %d is crashed" dst);
+    let node = t.nodes.(dst) in
     let bootstrapping = Hashtbl.mem t.bootstrap dst in
-    let before_progress =
-      match t.hooks with
-      | Some h when t.record_spans -> Some (h.progress t.states.(dst))
-      | _ -> None
-    in
-    t.states.(dst) <- S.receive t.states.(dst) ~sender:msg.Message.sender msg.Message.payload;
-    t.s_deliveries <- t.s_deliveries + 1;
+    let progress = if t.record_spans then progress t else None in
+    let before_progress = Option.map (fun p -> p (N.state node)) progress in
+    N.receive node t.log ~at:t.now_ msg;
     if t.record_spans then begin
       let src = msg.Message.sender and seq = msg.Message.seq in
       let sent =
@@ -666,9 +616,9 @@ module Make (S : Haec_store.Store_intf.S) = struct
       (* the protocol's progress vector names exactly which (origin, seq)
          streams advanced under this delivery — direct applies, repair
          applies and orphan-cascade applies all land here *)
-      match (before_progress, t.hooks) with
-      | Some before, Some h ->
-        let after = h.progress t.states.(dst) in
+      match (before_progress, progress) with
+      | Some before, Some p ->
+        let after = p (N.state node) in
         for o = 0 to t.n - 1 do
           let b = Vclock.get before o and a = Vclock.get after o in
           for s = b to a - 1 do
@@ -688,18 +638,14 @@ module Make (S : Haec_store.Store_intf.S) = struct
       t.s_bootstrap_bytes <- t.s_bootstrap_bytes + String.length msg.Message.payload;
       maybe_promote t ~replica:dst
     end;
-    record t (Event.Receive { replica = dst; msg });
     (* non-op-driven stores may now have a message pending *)
     auto_flush t ~replica:dst
 
   let crash t ~replica =
-    if t.down.(replica) then
-      invalid_arg (Printf.sprintf "Runner.crash: replica %d is already down" replica);
     if not (Membership.is_member t.membership replica) then
       invalid_arg (Printf.sprintf "Runner.crash: replica %d is not a member" replica);
-    t.down.(replica) <- true;
+    N.crash t.nodes.(replica) t.log ~at:t.now_;
     t.s_crashes <- t.s_crashes + 1;
-    record t (Event.Crash { replica });
     (* the crash takes every in-flight delivery addressed to it down too *)
     let inflight = Pqueue.to_list t.queue in
     Pqueue.clear t.queue;
@@ -716,12 +662,8 @@ module Make (S : Haec_store.Store_intf.S) = struct
       inflight
 
   let recover t ~replica =
-    if not t.down.(replica) then
-      invalid_arg (Printf.sprintf "Runner.recover: replica %d is not down" replica);
-    t.states.(replica) <- t.recover_state ~replica t.states.(replica);
-    t.down.(replica) <- false;
+    N.recover t.nodes.(replica) t.log ~at:t.now_;
     t.s_recoveries <- t.s_recoveries + 1;
-    record t (Event.Recover { replica });
     (* retransmit everything the crash swallowed *)
     let mine, rest = List.partition (fun d -> d.dst = replica) t.lost_rev in
     t.lost_rev <- rest;
@@ -729,7 +671,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
     auto_flush t ~replica
 
   let heal t =
-    let ready, rest = List.partition (fun d -> not t.down.(d.dst)) t.lost_rev in
+    let ready, rest = List.partition (fun d -> not (N.is_down t.nodes.(d.dst))) t.lost_rev in
     t.lost_rev <- rest;
     List.iter (requeue t) (List.rev ready);
     List.length ready
@@ -743,26 +685,22 @@ module Make (S : Haec_store.Store_intf.S) = struct
      then [op] refuses it. Requires the anti-entropy stack: only a wire
      repair protocol can transfer state into an empty replica. *)
   let join t ~replica =
-    (match t.recovery with
-    | `Anti_entropy -> ()
-    | `Oracle ->
-      invalid_arg "Runner.join: dynamic membership requires `Anti_entropy recovery");
-    let hooks =
-      match t.hooks with
-      | Some h -> h
-      | None -> invalid_arg "Runner.join: dynamic membership requires membership hooks"
+    let (module St : STACK) =
+      match t.stack with
+      | Some st -> st
+      | None -> invalid_arg "Runner.join: dynamic membership requires an anti-entropy stack"
     in
     t.membership <- Membership.join t.membership replica;
     let epoch = Membership.epoch t.membership in
     t.s_joins <- t.s_joins + 1;
-    record t (Event.Join { replica; epoch });
+    Node.Log.append t.log ~at:t.now_ (Event.Join { replica; epoch });
     let target =
       List.fold_left
-        (fun acc r -> Vclock.merge acc (hooks.progress t.states.(r)))
+        (fun acc r -> Vclock.merge acc (St.progress (N.state t.nodes.(r))))
         (Vclock.zero ~n:t.n)
         (Membership.serving t.membership)
     in
-    t.states.(replica) <- hooks.on_join ~epoch t.states.(replica);
+    N.control t.nodes.(replica) (St.announce_join ~epoch);
     Hashtbl.replace t.bootstrap replica (target, t.now_);
     if t.record_spans then begin
       Hashtbl.replace t.boot_epoch replica epoch;
@@ -778,7 +716,8 @@ module Make (S : Haec_store.Store_intf.S) = struct
      it, permanently, and any update only it had logged is simply gone
      (the reach-based settled check accounts for that). *)
   let leave t ~replica ~graceful =
-    if t.down.(replica) then
+    let node = t.nodes.(replica) in
+    if N.is_down node then
       invalid_arg
         (Printf.sprintf "Runner.leave: replica %d is down; recover it first or crash-leave" replica);
     t.membership <- Membership.leave t.membership replica;
@@ -786,12 +725,13 @@ module Make (S : Haec_store.Store_intf.S) = struct
     t.s_leaves <- t.s_leaves + 1;
     Hashtbl.remove t.bootstrap replica;
     if graceful then begin
-      (match t.hooks with
-      | Some h -> t.states.(replica) <- h.on_leave ~epoch ~graceful t.states.(replica)
+      (match t.stack with
+      | Some (module St : STACK) ->
+        N.control node (St.announce_leave ~epoch)
       | None -> ());
       t.dirty.(replica) <- false;
       (* the farewell flush: drain every pending payload in one go *)
-      while S.has_pending t.states.(replica) do
+      while N.has_pending node do
         ignore (send_one t ~replica)
       done
     end;
@@ -808,7 +748,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
         | ev -> Pqueue.add t.queue ~priority:at ev)
       inflight;
     t.dirty.(replica) <- false;
-    record t (Event.Leave { replica; epoch; graceful })
+    Node.Log.append t.log ~at:t.now_ (Event.Leave { replica; epoch; graceful })
 
   (* One gossip round: advance the clock to the round's scheduled time,
      tick every live replica (queuing its digest) and flush it. Crashed
@@ -823,31 +763,33 @@ module Make (S : Haec_store.Store_intf.S) = struct
      states are untouched inits and departed states are frozen husks —
      neither has anything left to say *)
   let member_states t =
-    Array.of_list (List.map (fun r -> t.states.(r)) (Membership.members t.membership))
+    Array.of_list
+      (List.map (fun r -> N.state t.nodes.(r)) (Membership.members t.membership))
 
   let fire_gossip_round t =
-    match t.gossip with
+    match t.stack with
     | None -> ()
-    | Some g ->
+    | Some (module St : STACK) ->
       t.now_ <- max t.now_ t.next_gossip;
-      t.next_gossip <- t.next_gossip +. g.interval;
-      if not (g.settled (member_states t)) then begin
+      t.next_gossip <- t.next_gossip +. t.gossip_interval;
+      if not (St.settled (member_states t)) then begin
         t.s_gossip_rounds <- t.s_gossip_rounds + 1;
         span t
           (Haec_obs.Span.Repair_round
-             { round = t.s_gossip_rounds; r_at = t.now_; r_interval = g.interval });
-        for r = 0 to t.n - 1 do
-          if Membership.is_member t.membership r && not t.down.(r) then begin
-            t.states.(r) <- g.tick t.states.(r);
-            ignore (flush t ~replica:r)
-          end
-        done
+             { round = t.s_gossip_rounds; r_at = t.now_; r_interval = t.gossip_interval });
+        Array.iteri
+          (fun r node ->
+            if Membership.is_member t.membership r && not (N.is_down node) then begin
+              N.control node St.tick;
+              ignore (flush t ~replica:r)
+            end)
+          t.nodes
       end
 
   (* the next gossip round fires in event order, before any queued event
      scheduled after it *)
   let gossip_due t =
-    t.gossip <> None
+    Option.is_some t.stack
     &&
     match Pqueue.peek t.queue with
     | Some (at, _) -> t.next_gossip <= at
@@ -876,7 +818,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
          (* a straggler addressed to a replica that has since departed:
             moot, not lost — the leave already settled the accounting *)
          ()
-       else if t.down.(dst) then begin
+       else if N.is_down t.nodes.(dst) then begin
          if oracle t then begin
            t.s_dropped <- t.s_dropped + 1;
            t.lost_rev <- d :: t.lost_rev
@@ -910,7 +852,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
       let next_ev =
         match Pqueue.peek t.queue with Some (at, _) -> at | None -> infinity
       in
-      if t.gossip <> None && t.next_gossip <= time && t.next_gossip <= next_ev then begin
+      if Option.is_some t.stack && t.next_gossip <= time && t.next_gossip <= next_ev then begin
         fire_gossip_round t;
         go ()
       end
@@ -924,12 +866,11 @@ module Make (S : Haec_store.Store_intf.S) = struct
 
   let in_flight t = Pqueue.length t.queue
 
-  let pending_count t =
-    let c = ref 0 in
-    List.iter
-      (fun r -> if (not t.down.(r)) && S.has_pending t.states.(r) then incr c)
-      (Membership.members t.membership);
-    !c
+  (* live members with a message to send *)
+  let pending t =
+    List.filter
+      (fun r -> (not (N.is_down t.nodes.(r))) && N.has_pending t.nodes.(r))
+      (Membership.members t.membership)
 
   let run_until_quiescent ?(max_events = 1_000_000) t =
     if t.policy = None then invalid_arg "Runner.run_until_quiescent: no policy";
@@ -940,7 +881,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
           (Divergence
              {
                in_flight = Pqueue.length t.queue;
-               pending = pending_count t;
+               pending = List.length (pending t);
                budget = max_events;
              });
       decr budget;
@@ -949,27 +890,22 @@ module Make (S : Haec_store.Store_intf.S) = struct
         (* queue empty: retransmit anything owed to live replicas, flush any
            pending messages, and keep going *)
         let requeued = heal t in
-        let flushed = ref false in
-        List.iter
-          (fun r ->
-            if (not t.down.(r)) && S.has_pending t.states.(r) then begin
-              ignore (flush t ~replica:r);
-              flushed := true
-            end)
-          (Membership.members t.membership);
-        if !flushed || requeued > 0 then go ()
+        let flushing = pending t in
+        List.iter (fun r -> ignore (flush t ~replica:r)) flushing;
+        if flushing <> [] || requeued > 0 then go ()
         else
-          (* nothing in flight and nothing to flush; with a gossip driver
+          (* nothing in flight and nothing to flush; with a stack
              quiescence additionally means the protocol has converged —
              otherwise keep firing rounds until it has (the event budget
              backstops a protocol that cannot converge). Rounds pause while
              any replica is down: gossip cannot repair into a crashed
              replica, so the run parks until the caller recovers it. *)
-          match t.gossip with
+          match t.stack with
           | None -> ()
-          | Some g ->
-            if List.exists (fun r -> t.down.(r)) (Membership.members t.membership) then ()
-            else if g.settled (member_states t) then ()
+          | Some (module St : STACK) ->
+            if List.exists (fun r -> N.is_down t.nodes.(r)) (Membership.members t.membership)
+            then ()
+            else if St.settled (member_states t) then ()
             else begin
               fire_gossip_round t;
               go ()
@@ -978,40 +914,20 @@ module Make (S : Haec_store.Store_intf.S) = struct
     in
     go ()
 
-  let replica_state t r = t.states.(r)
+  let replica_state t r = N.state t.nodes.(r)
 
   let execution t =
     Execution.of_list ~n:t.n ~initial:(Membership.initial t.membership)
-      (List.rev t.events_rev)
+      (Node.Log.events t.log)
 
   let messages_sent t =
     List.filter_map
-      (function
-        | Event.Send { msg; _ } -> Some msg
-        | Event.Do _ | Event.Receive _ | Event.Crash _ | Event.Recover _ | Event.Join _
-        | Event.Leave _ -> None)
-      (List.rev t.events_rev)
+      (function Event.Send { msg; _ } -> Some msg | _ -> None)
+      (Node.Log.events t.log)
 
-  let last_message t ~replica =
-    let rec find = function
-      | [] -> None
-      | Event.Send { msg; _ } :: _ when msg.Message.sender = replica -> Some msg
-      | _ :: rest -> find rest
-    in
-    find t.events_rev
+  let last_message t ~replica = Node.Log.last_send t.log ~replica
 
   let witness_abstract t =
-    if not t.record_witness then failwith "Runner.witness_abstract: recording disabled";
-    let h = Array.of_list (List.rev t.do_rev) in
-    let vis = ref [] in
-    List.iter
-      (fun (j, visible) ->
-        List.iter
-          (fun key ->
-            match Hashtbl.find_opt t.dot_pos key with
-            | Some i when i <> j -> vis := (i, j) :: !vis
-            | Some _ | None -> ())
-          visible)
-      t.wit_rev;
-    Abstract.create ~n:t.n h ~vis:!vis
+    if not (Node.Log.witnesses t.log) then failwith "Runner.witness_abstract: recording disabled";
+    Node.Witness.abstract t.witness ~n:t.n
   end

@@ -9,9 +9,12 @@
       deliveries at policy-chosen times, [advance_to]/[run_until_quiescent]
       process them.
 
-    The runner records every do/send/receive event, producing a well-formed
-    {!Haec_model.Execution.t}, and (unless disabled) collects each
-    operation's visibility witness, from which {!witness_abstract} builds an
+    Each replica is a {!Node}: the one replica step the live cluster
+    drives too. The runner owns the clock, the random generator and the
+    event queue; every node logs its do/send/receive events into one
+    shared {!Node.Log}, producing a well-formed {!Haec_model.Execution.t},
+    and (unless disabled) each operation's visibility witness feeds a
+    {!Node.Witness} index, from which {!witness_abstract} builds an
     abstract execution the run complies with by construction.
 
     {b Fault injection.} A {!Fault_plan.t} adds failure modes on top of
@@ -27,17 +30,17 @@
     the "sufficiently connected" requirement satisfied by fiat; this is
     the frozen baseline. Under [`Anti_entropy], the runner never
     retransmits: every loss is final, and convergence is up to the store's
-    own wire protocol ({!Haec_store.Anti_entropy.Make}), driven by the
-    [gossip] hook — the runner ticks every live replica each gossip
+    own wire protocol ({!Haec_store.Anti_entropy.Make}), run as a
+    {!Haec_store.Stack.S} — the runner ticks every live replica each gossip
     interval and, once the network drains, keeps firing rounds until the
-    protocol's own [settled] predicate holds. Dead links are never
+    stack's own [settled] predicate holds. Dead links are never
     retransmitted in either mode.
 
     {b Dynamic membership.} The runner's [n] is an id-space capacity; the
     actual member set is an epoch-stamped {!Membership.t} view. Ids
     [0 .. initial-1] serve from time zero, the rest are a reserve pool.
     {!Make.join} brings a reserve id in: it boots empty, announces itself
-    through the [hooks], and bootstraps over the ordinary anti-entropy
+    through the stack, and bootstraps over the ordinary anti-entropy
     digest/repair protocol; until its progress vector reaches the
     catch-up target captured at join time it is {e bootstrapping} and
     {!Make.op} refuses it — a refused read is unavailability, never a
@@ -80,19 +83,6 @@ type recovery = [ `Oracle | `Anti_entropy ]
 (** Who repairs a loss: the omniscient runner ([`Oracle], the frozen
     baseline) or the store's own wire protocol ([`Anti_entropy]). *)
 
-type 'state membership_hooks = {
-  progress : 'state -> Haec_vclock.Vclock.t;
-      (** how far this state has caught up: the anti-entropy [have] vector
-          (contiguous applied prefix per origin), read through whatever
-          wrappers the store stack adds. Observation only. *)
-  on_join : epoch:int -> 'state -> 'state;
-      (** queue the joiner's hello + first digest announcement *)
-  on_leave : epoch:int -> graceful:bool -> 'state -> 'state;
-      (** queue a graceful leaver's goodbye (not applied on crash-leave) *)
-}
-(** How the runner talks membership to the store protocol. Like the gossip
-    tick, these touch only unlogged control state of the replica. *)
-
 module Make (S : Haec_store.Store_intf.S) : sig
   type t
 
@@ -105,12 +95,10 @@ module Make (S : Haec_store.Store_intf.S) : sig
     ?coalesce_window:float ->
     ?policy:Net_policy.t ->
     ?faults:Fault_plan.t ->
-    ?recovery:recovery ->
-    ?gossip:float * (S.state -> S.state) * (S.state array -> bool) ->
+    ?stack:(module Haec_store.Stack.S with type state = S.state) ->
+    ?gossip_interval:float ->
     ?initial:int ->
-    ?hooks:S.state membership_hooks ->
-    ?classify:(string -> string) ->
-    ?recover_state:(replica:int -> S.state -> S.state) ->
+    ?recover_state:(S.state -> S.state) ->
     n:int ->
     unit ->
     t
@@ -131,31 +119,33 @@ module Make (S : Haec_store.Store_intf.S) : sig
       the queue drains, so quiescence and convergence are unaffected.
 
       [faults] enables link-drop, corruption, duplication, reordering, and
-      dead-link injection on scheduled deliveries. [recover_state] maps a
-      crashed replica's last state to its post-recovery state (default:
-      identity, i.e. perfect durability); pass the [recover] of a
-      {!Haec_store.Durable.Make} store to actually exercise checkpoint
-      recovery.
+      dead-link injection on scheduled deliveries.
 
-      [recovery] (default [`Oracle]) picks who makes up for lost
-      deliveries — see the module comment. [`Anti_entropy] requires
-      [gossip], a triple [(interval, tick, settled)]: every [interval] of
-      simulated time (in event order relative to the delivery queue) the
-      runner applies [tick] to each live replica's state and flushes it,
-      and when the network drains, quiescence is declared only once
-      [settled] holds over the replica states — otherwise further rounds
-      fire, bounded by [run_until_quiescent]'s event budget.
+      [stack] — the store's anti-entropy stack, whose [state] is the
+      runner's — selects [`Anti_entropy] recovery; without it recovery is
+      [`Oracle] (see the module comment). Every [gossip_interval]
+      (default [2.0]) of simulated time, in event order relative to the
+      delivery queue, the runner applies the stack's [tick] to each live
+      replica and flushes it; when the network drains, quiescence is
+      declared only once the stack's [settled] holds over the member
+      states — otherwise further rounds fire, bounded by
+      [run_until_quiescent]'s event budget. The stack also supplies the
+      crash [recover], the [progress] read behind bootstrap promotion and
+      span attribution, the join/leave announcements, and the protocol
+      item kinds ({!Haec_store.Anti_entropy.classify}) in
+      {!Haec_obs.Span} [Transmit] spans.
+
+      [recover_state], for stackless runs only, maps a crashed replica's
+      last state to its post-recovery state (default: identity, i.e.
+      perfect durability); pass the [recover] of a
+      {!Haec_store.Durable.Make} store to exercise checkpoint recovery.
+      Raises [Invalid_argument] together with [stack].
 
       [initial] (default [n]) makes ids [initial .. n-1] a reserve pool
-      for {!join} instead of members from time zero; [hooks] supplies the
-      membership announcements and the bootstrap progress read — both
-      required for {!join} / graceful {!leave} announcements.
+      for {!join} instead of members from time zero.
 
       [record_spans] (default [true], implies [record_witness]) collects
-      the per-op lifecycle span stream (see {!spans}); [classify] labels
-      sent payloads with their protocol item kinds in {!Haec_obs.Span}
-      [Transmit] spans (pass {!Haec_store.Anti_entropy.classify} for
-      anti-entropy stacks). *)
+      the per-op lifecycle span stream (see {!spans}). *)
 
   val n_replicas : t -> int
 
@@ -187,26 +177,27 @@ module Make (S : Haec_store.Store_intf.S) : sig
       [Invalid_argument] if already down. *)
 
   val recover : t -> replica:int -> unit
-  (** Bring a crashed replica back: rebuild its state via [recover_state],
-      record the recover event, and schedule retransmission of everything
-      lost while it was down. Raises [Invalid_argument] if not down. *)
+  (** Bring a crashed replica back: rebuild its state (the stack's
+      [recover], else [recover_state]), record the recover event, and
+      schedule retransmission of everything lost while it was down.
+      Raises [Invalid_argument] if not down. *)
 
   val is_down : t -> replica:int -> bool
 
   val join : t -> replica:int -> unit
   (** Bring a reserve id into the replica set: bump the view epoch, record
-      the join event, apply the [on_join] hook (hello + digest
+      the join event, queue the stack's join announcement (hello + digest
       announcement), and capture the catch-up target — the pointwise max
       of every serving member's progress vector. The joiner stays
       {e bootstrapping} (op-refusing) until ordinary digest/repair traffic
       carries its progress to the target, at which point it is promoted to
-      serving ([bootstrap.latency] records the delay). Requires
-      [`Anti_entropy] recovery and [hooks]; raises [Invalid_argument]
-      otherwise, or if the id is not in reserve (ids are never reused). *)
+      serving ([bootstrap.latency] records the delay). Requires a
+      [stack]; raises [Invalid_argument] otherwise, or if the id is not in
+      reserve (ids are never reused). *)
 
   val leave : t -> replica:int -> graceful:bool -> unit
   (** Remove a member for good: bump the view epoch and record the leave
-      event. Graceful: the leaver announces goodbye ([on_leave] hook) and
+      event. Graceful: the leaver announces goodbye through the stack and
       flushes every pending payload before departing. Crash-leave
       ([graceful:false]): it vanishes mid-protocol — in-flight deliveries
       addressed to it are lost permanently and anything only it had logged

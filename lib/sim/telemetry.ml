@@ -63,8 +63,8 @@ let wire_of_execution exec =
    carry no timestamps, so event indices serve as logical time — span
    shapes and matchings are auditable, absolute durations are not.
    Updates are attributed to their issuing replica's next send, the same
-   heuristic the live runner uses for stores without progress hooks;
-   protocol-level apply times (hook-derived) exist only live. *)
+   heuristic the live runner uses for stores run without a stack;
+   protocol-level apply times (progress-derived) exist only live. *)
 let spans_of_execution exec =
   let n = Execution.n_replicas exec in
   let pending = Array.make n [] in
@@ -191,3 +191,20 @@ let snapshot ?(meta = []) ?objects exec reg =
     (Obs.Registry.gauge reg "wire.total_bytes")
     (float_of_int (Execution.total_message_bits exec / 8));
   Haec_obs.Metrics_io.snapshot ~meta reg
+
+let record_gossip reg (g : Haec_store.Store_intf.gossip_stats) =
+  let c name v = Obs.Counter.add (Obs.Registry.counter reg name) v in
+  c "gossip.digests" g.digests;
+  c "gossip.digest_bytes" g.digest_bytes;
+  c "gossip.repairs" g.repairs;
+  c "gossip.repair_bytes" g.repair_bytes;
+  c "gossip.requests" g.requests;
+  c "gossip.request_bytes" g.request_bytes;
+  c "gossip.updates" g.updates;
+  c "gossip.update_bytes" g.update_bytes;
+  c "gossip.dup_payloads" g.dup_payloads;
+  c "gossip.repair_applied" g.repair_applied;
+  c "gossip.memberships" g.memberships;
+  c "gossip.membership_bytes" g.membership_bytes;
+  c "gossip.digest_deltas" g.digest_deltas;
+  c "gossip.digests_elided" g.digests_elided

@@ -44,7 +44,7 @@ val spans_of_execution : Execution.t -> Span.t list
     timestamps, so event {e indices} serve as logical time: span shapes
     and matchings are auditable offline, absolute durations are not.
     Updates are attributed to their replica's next send (the live
-    runner's hook-less heuristic); protocol-level apply times and
+    runner's stackless heuristic); protocol-level apply times and
     [Visible]/[Bootstrap]/[Repair_round] spans exist only live. *)
 
 val audit_spans : Execution.t -> Span.t list -> string list
@@ -52,6 +52,14 @@ val audit_spans : Execution.t -> Span.t list -> string list
     send events must match 1:1 on message id, and per (message,
     destination) the delivered+duplicate flight count must equal the
     receive count. Returns the mismatches; empty means consistent. *)
+
+val record_gossip : Metrics.Registry.t -> Haec_store.Store_intf.gossip_stats -> unit
+(** Add the anti-entropy traffic counters to [reg] as the fourteen
+    [gossip.*] counters (digests, repairs, requests, updates and
+    membership items with their encoded bytes, delta digests, elided
+    digests, duplicate payloads, repair-applied payloads). The one writer
+    of these names: the chaos harness and the live cluster both call
+    it. *)
 
 val snapshot :
   ?meta:(string * Json.t) list ->

@@ -328,7 +328,7 @@ let test_durable_recovery_through_runner () =
   let sim =
     RD.create
       ~policy:(Sim.Net_policy.reliable_fifo ~delay:1.0 ())
-      ~recover_state:(fun ~replica:_ st -> D.recover st)
+      ~recover_state:D.recover
       ~n:2 ()
   in
   ignore (RD.op sim ~replica:1 ~obj:0 (Op.Write (vi 5)));

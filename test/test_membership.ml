@@ -8,8 +8,8 @@ module Fault_plan = Sim.Fault_plan
 module Membership = Sim.Membership
 module Vclock = Clock.Vclock
 module Trace_io = Model.Trace_io
-module AE = Store.Anti_entropy.Make (Store.Mvr_store)
-module R = Sim.Runner.Make (AE)
+module St = Store.Stack.Volatile (Store.Mvr_store)
+module R = Sim.Runner.Make (St)
 
 (* ---------- the view, by itself ---------- *)
 
@@ -50,20 +50,10 @@ let test_view_errors () =
 
 (* ---------- runner join: bootstrap, serving gate, promotion ---------- *)
 
-let hooks =
-  {
-    Sim.Runner.progress = AE.have;
-    on_join = (fun ~epoch st -> AE.announce_join ~epoch st);
-    on_leave =
-      (fun ~epoch ~graceful st -> if graceful then AE.announce_leave ~epoch st else st);
-  }
-
 let make_sim ?(seed = 1) ?auto_send ?(initial = 3) ~n () =
   R.create ~seed ?auto_send
     ~policy:(Sim.Net_policy.random_delay ())
-    ~recovery:`Anti_entropy
-    ~gossip:(2.0, AE.tick, AE.settled)
-    ~initial ~hooks ~n ()
+    ~stack:(module St) ~gossip_interval:2.0 ~initial ~n ()
 
 let test_join_bootstrap_gate () =
   let sim = make_sim ~initial:2 ~n:3 () in
