@@ -191,6 +191,30 @@ let bench_session =
   Test.make ~name:"consistency/session-guarantees"
     (Staged.stage (fun () -> Consistency.Session.check witness))
 
+(* The audit-scale history of the benchmark's [audit] workload: causal
+   MVR, 4 replicas, 1000 client ops over 8 objects, random delays; the
+   checkers read its transitive closure, as [Sim.Checks.validate] does.
+   The 60-op and planted samples above are too small to show how the
+   correctness and OCC checks scale. *)
+let audit_scale_closed =
+  let module R = Sim.Runner.Make (Store.Causal_mvr_store) in
+  let rng = Util.Rng.create 21 in
+  let sim = R.create ~seed:21 ~n:4 ~policy:(Sim.Net_policy.random_delay ()) () in
+  let steps = Sim.Workload.generate ~rng ~n:4 ~objects:8 ~ops:1000 Sim.Workload.register_mix in
+  Sim.Workload.run (fun ~replica ~obj op -> R.op sim ~replica ~obj op)
+    ~advance:(R.advance_to sim) steps;
+  R.run_until_quiescent sim;
+  Spec.Abstract.transitive_closure (R.witness_abstract sim)
+
+let bench_spec_check_audit =
+  Test.make ~name:"spec/check-correct-audit"
+    (Staged.stage (fun () ->
+         Spec.Spec.check_correct ~spec_of:(fun _ -> Spec.Spec.mvr) audit_scale_closed))
+
+let bench_occ_check_audit =
+  Test.make ~name:"consistency/occ-check-audit"
+    (Staged.stage (fun () -> Consistency.Occ.check audit_scale_closed))
+
 let bench_trace_roundtrip =
   let exec, _ = audit_history in
   let encoded = Model.Trace_io.to_string exec in
@@ -246,10 +270,17 @@ let tests =
    where per-batch noise dominates a short quota, and trace-decode
    (~20us/run over a 150-op execution) fit with r^2 0.44 at the default
    budget. They get a group with a larger trial/time budget of their
-   own. *)
+   own. The audit-scale checker rows (about a millisecond per run) join
+   them for the same reason. *)
 let tests_mid =
   Test.make_grouped ~name:"haec"
-    [ bench_causal_receive; bench_theorem12; bench_trace_roundtrip ]
+    [
+      bench_causal_receive;
+      bench_theorem12;
+      bench_trace_roundtrip;
+      bench_spec_check_audit;
+      bench_occ_check_audit;
+    ]
 
 (* Sub-100ns operations need far more samples before the OLS slope is
    trustworthy: at the default budget the vclock rows fit with r^2 of

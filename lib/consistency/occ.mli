@@ -32,4 +32,5 @@ val is_occ : Abstract.t -> bool
 
 val witnesses_for : Abstract.t -> read:int -> w0:int -> w1:int -> (int * int) option
 (** The witness pair [(w0', w1')] of Definition 18 for the given returned
-    write pair, if any. *)
+    write pair, if any: the smallest valid [w0'] that has a partner, with
+    its smallest valid [w1']. *)

@@ -6,7 +6,22 @@ type t = {
   h : Event.do_event array;
   (* rows.(j) = set of i with i vis j *)
   rows : Bitset.t array;
+  (* obj_prev.(j) = the last event before j on j's object, or -1: a
+     per-object chain through H in O(n) memory, whatever the number of
+     objects *)
+  obj_prev : int array;
 }
+
+let obj_chain h =
+  let last = Hashtbl.create 16 in
+  Array.mapi
+    (fun j (d : Event.do_event) ->
+      let p = Option.value (Hashtbl.find_opt last d.Event.obj) ~default:(-1) in
+      Hashtbl.replace last d.Event.obj j;
+      p)
+    h
+
+let make ~n h rows = { n; h; rows; obj_prev = obj_chain h }
 
 let n_replicas t = t.n
 
@@ -20,7 +35,7 @@ let vis t i j = Bitset.get t.rows.(j) i
 
 let vis_preds t j = Bitset.to_list t.rows.(j)
 
-let vis_row t j = Bitset.copy t.rows.(j)
+let vis_row t j = t.rows.(j)
 
 let vis_pairs t =
   let acc = ref [] in
@@ -81,7 +96,7 @@ let create_unchecked ~n h ~vis =
       | None -> ());
       Hashtbl.replace last_at d.Event.replica j)
     h;
-  { n; h = Array.copy h; rows }
+  make ~n (Array.copy h) rows
 
 let create ~n h ~vis =
   let t = create_unchecked ~n h ~vis in
@@ -98,7 +113,7 @@ let prefix t m =
         Bitset.iter t.rows.(j) (fun i -> if i < m then Bitset.set row i);
         row)
   in
-  { n = t.n; h; rows }
+  { n = t.n; h; rows; obj_prev = Array.sub t.obj_prev 0 m }
 
 let equal_do (a : Event.do_event) (b : Event.do_event) =
   a.Event.replica = b.Event.replica
@@ -135,7 +150,7 @@ let restrict t idx =
             | None -> ());
         row)
   in
-  { n = t.n; h; rows }
+  make ~n:t.n h rows
 
 let restrict_object t o =
   let acc = ref [] in
@@ -143,12 +158,17 @@ let restrict_object t o =
   let idx = Array.of_list (List.rev !acc) in
   (restrict t idx, idx)
 
+let iter_context t e f =
+  let row = t.rows.(e) in
+  let i = ref t.obj_prev.(e) in
+  while !i >= 0 do
+    if Bitset.get row !i then f !i;
+    i := t.obj_prev.(!i)
+  done
+
 let context t e =
-  let o = t.h.(e).Event.obj in
   let members = ref [] in
-  for i = e - 1 downto 0 do
-    if t.h.(i).Event.obj = o && Bitset.get t.rows.(e) i then members := i :: !members
-  done;
+  iter_context t e (fun i -> members := i :: !members);
   let idx = Array.of_list (!members @ [ e ]) in
   let sub = restrict t idx in
   (sub, Array.length idx - 1)

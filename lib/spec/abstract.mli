@@ -2,8 +2,11 @@
 
     [H] is a finite total order of [do] events; [vis] is an acyclic
     visibility relation. Events are addressed by their index in [H].
-    The representation is immutable from the outside; visibility rows are
-    bitsets so that transitive closures and the OCC check stay cheap. *)
+    The representation is immutable from the outside. Visibility rows are
+    bitsets, one per event, and every event links to the previous event on
+    its object; the checkers ({!Spec.check_correct}, the OCC and session
+    checks, transitive closure) answer their questions from these rows
+    word-parallel instead of materialising sub-executions. *)
 
 open Haec_util
 open Haec_model
@@ -39,7 +42,9 @@ val vis_preds : t -> int -> int list
 (** All [i] with [vis a i j], ascending. *)
 
 val vis_row : t -> int -> Bitset.t
-(** The set [{i | vis a i j}] as a fresh bitset. *)
+(** The set [{i | vis a i j}]: [a]'s own row, shared rather than copied.
+    Callers read it (word-parallel tests, {!Bitset.union_into} from it)
+    and must never mutate it. Its capacity is [length a]. *)
 
 val vis_pairs : t -> (int * int) list
 
@@ -53,10 +58,17 @@ val restrict_object : t -> int -> t * int array
 (** [restrict_object a o] is [A|o] together with the map from new indices
     to original indices. *)
 
+val iter_context : t -> int -> (int -> unit) -> unit
+(** [iter_context a e f] calls [f] on every event of [ctxt(a, e)] other
+    than [e] — the events on [e]'s object visible to [e] — in descending H
+    order. It walks [e]'s object chain, so it costs one bit test per
+    earlier event on that object and builds nothing. *)
+
 val context : t -> int -> t * int
 (** [context a e] is the operation context [ctxt(A, e)] of Definition 7 —
     an abstract execution over the events of [V_e] — together with the
-    index of [e] inside it ([e] is always its last event). *)
+    index of [e] inside it ([e] is always its last event). The checkers
+    evaluate specifications over {!iter_context} and the rows instead. *)
 
 val is_transitive : t -> bool
 (** Causal consistency of the visibility relation (Definition 12). *)

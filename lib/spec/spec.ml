@@ -1,3 +1,4 @@
+open Haec_util
 open Haec_model
 
 type t = {
@@ -17,66 +18,76 @@ let on_read name read =
         | Op.Write _ | Op.Add _ | Op.Remove _ -> Op.Ok);
   }
 
+(* Each read is answered from [ctx]'s own rows: the members of
+   ctxt(ctx, target) come from {!Abstract.iter_context}, and "visible to a
+   later member" is a bit of the union of the members' rows. *)
+
 let rw_register =
   on_read "rw-register" (fun ctx target ->
-      (* the last write event in H' *)
-      let rec last_write i =
-        if i < 0 then Op.vals []
-        else
-          match (Abstract.event ctx i).Event.op with
-          | Op.Write v -> Op.vals [ v ]
-          | Op.Read | Op.Add _ | Op.Remove _ -> last_write (i - 1)
-      in
-      last_write (target - 1))
+      (* the last write in H' is the largest member write; members arrive
+         in descending order, so it is the first one met *)
+      let last = ref None in
+      Abstract.iter_context ctx target (fun i ->
+          match ((Abstract.event ctx i).Event.op, !last) with
+          | Op.Write v, None -> last := Some v
+          | (Op.Write _ | Op.Read | Op.Add _ | Op.Remove _), _ -> ());
+      Op.vals (Option.to_list !last))
 
 let mvr =
   on_read "mvr" (fun ctx target ->
-      let values = ref [] in
-      for e1 = 0 to target - 1 do
-        match (Abstract.event ctx e1).Event.op with
-        | Op.Write v ->
-          let dominated = ref false in
-          for e2 = e1 + 1 to target - 1 do
-            match (Abstract.event ctx e2).Event.op with
-            | Op.Write _ -> if Abstract.vis ctx e1 e2 then dominated := true
-            | Op.Read | Op.Add _ | Op.Remove _ -> ()
-          done;
-          if not !dominated then values := v :: !values
-        | Op.Read | Op.Add _ | Op.Remove _ -> ()
-      done;
-      Op.vals !values)
+      (* a member write is dominated iff it is visible to another member
+         write: one union of the member writes' rows *)
+      let writes = ref [] in
+      let dominated = Bitset.create (Abstract.length ctx) in
+      Abstract.iter_context ctx target (fun i ->
+          match (Abstract.event ctx i).Event.op with
+          | Op.Write v ->
+            writes := (i, v) :: !writes;
+            Bitset.union_into ~dst:dominated (Abstract.vis_row ctx i)
+          | Op.Read | Op.Add _ | Op.Remove _ -> ());
+      Op.vals
+        (List.filter_map
+           (fun (i, v) -> if Bitset.get dominated i then None else Some v)
+           !writes))
 
 let orset =
   on_read "orset" (fun ctx target ->
-      let values = ref [] in
-      for e1 = 0 to target - 1 do
-        match (Abstract.event ctx e1).Event.op with
-        | Op.Add v ->
-          let removed = ref false in
-          for e2 = e1 + 1 to target - 1 do
-            match (Abstract.event ctx e2).Event.op with
-            | Op.Remove v' -> if Value.equal v v' && Abstract.vis ctx e1 e2 then removed := true
-            | Op.Read | Op.Write _ | Op.Add _ -> ()
-          done;
-          if not !removed then values := v :: !values
-        | Op.Read | Op.Write _ | Op.Remove _ -> ()
-      done;
-      Op.vals !values)
+      (* per removed value, the union of its member removes' rows: an add
+         in it is observed by a remove of its value *)
+      let adds = ref [] and removed = ref [] in
+      Abstract.iter_context ctx target (fun i ->
+          match (Abstract.event ctx i).Event.op with
+          | Op.Add v -> adds := (i, v) :: !adds
+          | Op.Remove v ->
+            let row =
+              match List.find_opt (fun (v', _) -> Value.equal v v') !removed with
+              | Some (_, row) -> row
+              | None ->
+                let row = Bitset.create (Abstract.length ctx) in
+                removed := (v, row) :: !removed;
+                row
+            in
+            Bitset.union_into ~dst:row (Abstract.vis_row ctx i)
+          | Op.Read | Op.Write _ -> ());
+      Op.vals
+        (List.filter_map
+           (fun (i, v) ->
+             match List.find_opt (fun (v', _) -> Value.equal v v') !removed with
+             | Some (_, row) when Bitset.get row i -> None
+             | Some _ | None -> Some v)
+           !adds))
 
 let counter =
   on_read "counter" (fun ctx target ->
-      let total = ref 0 in
-      for e1 = 0 to target - 1 do
-        match (Abstract.event ctx e1).Event.op with
-        | Op.Add _ -> incr total
-        | Op.Remove _ -> decr total
-        | Op.Read | Op.Write _ -> ()
-      done;
-      Op.vals [ Value.Int !total ])
+      let adds = ref 0 and removes = ref 0 in
+      Abstract.iter_context ctx target (fun i ->
+          match (Abstract.event ctx i).Event.op with
+          | Op.Add _ -> incr adds
+          | Op.Remove _ -> incr removes
+          | Op.Read | Op.Write _ -> ());
+      Op.vals [ Value.Int (!adds - !removes) ])
 
-let response_in spec a e =
-  let ctx, target = Abstract.context a e in
-  spec.apply ~ctx ~target
+let response_in spec a e = spec.apply ~ctx:a ~target:e
 
 let check_event spec a e =
   let expected = response_in spec a e in

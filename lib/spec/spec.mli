@@ -11,9 +11,14 @@ open Haec_model
 type t = {
   name : string;
   apply : ctx:Abstract.t -> target:int -> Op.response;
-      (** [apply ~ctx ~target] computes [f_o(ctxt)] where [ctx] is the
-          operation-context abstract execution and [target] the index of the
-          operation being specified within it (always the last event). *)
+      (** [apply ~ctx ~target] computes [f_o(ctxt(ctx, target))]: the
+          response the operation at index [target] of [ctx] must return.
+          It reads [ctx]'s own rows — the members are the events on
+          [target]'s object visible to it ({!Abstract.iter_context}) — so
+          [ctx] may be any abstract execution containing [target]: the
+          whole audited execution, or an already-restricted context whose
+          members [target] all sees. Updates return [Ok] without looking
+          at the context. *)
 }
 
 val rw_register : t
@@ -34,7 +39,8 @@ val counter : t
 
 val response_in : t -> Abstract.t -> int -> Op.response
 (** [response_in spec a e]: the response required of event [e] of abstract
-    execution [a], i.e. [spec] applied to [ctxt(a, e)]. *)
+    execution [a], i.e. [spec] applied to [ctxt(a, e)] — evaluated on [a]'s
+    rows, without building the context. *)
 
 val check_event : t -> Abstract.t -> int -> (unit, string) result
 (** Does event [e]'s recorded response match the specification? *)

@@ -55,22 +55,24 @@ let inter_into ~dst src =
     dst.words.(w) <- dst.words.(w) land src.words.(w)
   done
 
+(* The word-wise predicates below stop at the first word that decides
+   the answer instead of scanning the whole row. *)
 let intersects a b =
   if a.cap <> b.cap then invalid_arg "Bitset.intersects: capacity mismatch";
-  let hit = ref false in
-  for w = 0 to Array.length a.words - 1 do
-    if a.words.(w) land b.words.(w) <> 0 then hit := true
+  let n = Array.length a.words and w = ref 0 in
+  while !w < n && a.words.(!w) land b.words.(!w) = 0 do
+    incr w
   done;
-  !hit
+  !w < n
 
 let equal a b =
   a.cap = b.cap
   &&
-  let ok = ref true in
-  for w = 0 to Array.length a.words - 1 do
-    if a.words.(w) <> b.words.(w) then ok := false
+  let n = Array.length a.words and w = ref 0 in
+  while !w < n && a.words.(!w) = b.words.(!w) do
+    incr w
   done;
-  !ok
+  !w = n
 
 (* FNV-1a-style word mix; agrees with [equal] (capacity + word contents). *)
 let hash t =
@@ -84,11 +86,20 @@ let hash t =
 
 let is_subset a b =
   if a.cap <> b.cap then invalid_arg "Bitset.is_subset: capacity mismatch";
-  let ok = ref true in
-  for w = 0 to Array.length a.words - 1 do
-    if a.words.(w) land lnot b.words.(w) <> 0 then ok := false
+  let n = Array.length a.words and w = ref 0 in
+  while !w < n && a.words.(!w) land lnot b.words.(!w) = 0 do
+    incr w
   done;
-  !ok
+  !w = n
+
+let is_subset_masked ~mask a b =
+  if a.cap <> b.cap || a.cap <> mask.cap then
+    invalid_arg "Bitset.is_subset_masked: capacity mismatch";
+  let n = Array.length a.words and w = ref 0 in
+  while !w < n && a.words.(!w) land mask.words.(!w) land lnot b.words.(!w) = 0 do
+    incr w
+  done;
+  !w = n
 
 let popcount x =
   let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
@@ -97,31 +108,46 @@ let popcount x =
 let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 
 let is_empty t =
-  let empty = ref true in
-  for w = 0 to Array.length t.words - 1 do
-    if t.words.(w) <> 0 then empty := false
+  let n = Array.length t.words and w = ref 0 in
+  while !w < n && t.words.(!w) = 0 do
+    incr w
   done;
-  !empty
+  !w = n
 
+(* Index of the single set bit of [b], a power of two (the sign bit
+   included): multiplying by a de Bruijn constant shifts a distinct 6-bit
+   window of it into the top bits of the 63-bit word. *)
+let debruijn = 0x03f79d71b4cb0a89
+
+let bit_of_window =
+  let t = Array.make 64 0 in
+  for k = 0 to 62 do
+    t.(((1 lsl k) * debruijn) lsr 57) <- k
+  done;
+  t
+
+let bit_index b = bit_of_window.((b * debruijn) lsr 57)
+
+(* [x land (-x)] isolates the lowest set bit of a word, so the walks below
+   jump from one element to the next instead of testing all 63 bits. *)
 let min_elt t =
-  let n = Array.length t.words in
-  let rec word w =
-    if w = n then None
-    else if t.words.(w) = 0 then word (w + 1)
-    else
-      let x = t.words.(w) in
-      let rec bit b = if x land (1 lsl b) <> 0 then Some ((w * 63) + b) else bit (b + 1) in
-      bit 0
-  in
-  word 0
+  let n = Array.length t.words and w = ref 0 in
+  while !w < n && t.words.(!w) = 0 do
+    incr w
+  done;
+  if !w = n then None
+  else
+    let x = t.words.(!w) in
+    Some ((!w * 63) + bit_index (x land -x))
 
 let iter t f =
   for w = 0 to Array.length t.words - 1 do
-    let word = t.words.(w) in
-    if word <> 0 then
-      for b = 0 to 62 do
-        if word land (1 lsl b) <> 0 then f ((w * 63) + b)
-      done
+    let x = ref t.words.(w) in
+    while !x <> 0 do
+      let low = !x land - !x in
+      f ((w * 63) + bit_index low);
+      x := !x lxor low
+    done
   done
 
 let fold t ~init ~f =
@@ -131,12 +157,14 @@ let fold t ~init ~f =
 
 let to_list t = List.rev (fold t ~init:[] ~f:(fun acc i -> i :: acc))
 
-exception Found
+exception Found of int
 
-let exists t p =
+let find_first t p =
   try
-    iter t (fun i -> if p i then raise Found);
-    false
-  with Found -> true
+    iter t (fun i -> if p i then raise_notrace (Found i));
+    None
+  with Found i -> Some i
+
+let exists t p = Option.is_some (find_first t p)
 
 let for_all t p = not (exists t (fun i -> not (p i)))

@@ -46,6 +46,10 @@ val hash : t -> int
 val is_subset : t -> t -> bool
 (** [is_subset a b] iff every bit of [a] is set in [b]. *)
 
+val is_subset_masked : mask:t -> t -> t -> bool
+(** [is_subset_masked ~mask a b] iff [a ∩ mask ⊆ b], word-parallel and
+    without building the intersection. Requires equal capacities. *)
+
 val cardinal : t -> int
 
 val is_empty : t -> bool
@@ -54,11 +58,17 @@ val min_elt : t -> int option
 (** Smallest element, if any. *)
 
 val iter : t -> (int -> unit) -> unit
-(** Calls the function on each set bit, ascending. *)
+(** Calls the function on each set bit, ascending. The walk jumps from one
+    set bit to the next, so its cost follows the cardinal, not the
+    capacity (plus one test per word). *)
 
 val fold : t -> init:'a -> f:('a -> int -> 'a) -> 'a
 
 val to_list : t -> int list
+
+val find_first : t -> (int -> bool) -> int option
+(** Smallest element satisfying the predicate, if any; elements above it
+    are not visited. *)
 
 val exists : t -> (int -> bool) -> bool
 

@@ -219,6 +219,41 @@ let prop_bitset_roundtrip =
       List.for_all (Bitset.get b) idxs
       && Bitset.to_list b = List.sort_uniq compare idxs)
 
+(* The bit-jumping walks and the early-exit predicates against a list
+   model, over capacities that straddle words; index 62 of each word is
+   OCaml's sign bit, the one lowest-set-bit extraction handles apart. *)
+let prop_bitset_model =
+  let gen =
+    QCheck2.Gen.(
+      int_range 1 200 >>= fun cap ->
+      let idx = list_size (int_bound 40) (int_bound (cap - 1)) in
+      triple (return cap) (pair idx idx) (pair idx (list_size (int_bound 8) (return 62))))
+  in
+  q ~count:300 "bitset walks and predicates == list model" gen
+    (fun (cap, (xs, ys), (ms, sign)) ->
+      let of_list l =
+        let b = Bitset.create cap in
+        List.iter (Bitset.set b) l;
+        b
+      in
+      let xs = xs @ List.filter (fun i -> i < cap) sign in
+      let a = of_list xs and b = of_list ys and m = of_list ms in
+      let la = List.sort_uniq compare xs and lb = List.sort_uniq compare ys in
+      let mem l i = List.mem i l in
+      let walked = ref [] in
+      Bitset.iter a (fun i -> walked := i :: !walked);
+      List.rev !walked = la
+      && Bitset.fold a ~init:[] ~f:(fun acc i -> i :: acc) = List.rev la
+      && Bitset.min_elt a = (match la with [] -> None | i :: _ -> Some i)
+      && Bitset.is_empty a = (la = [])
+      && Bitset.is_subset a b = List.for_all (mem lb) la
+      && Bitset.intersects a b = List.exists (mem lb) la
+      && Bitset.equal a b = (la = lb)
+      && Bitset.is_subset_masked ~mask:m a b
+         = List.for_all (fun i -> (not (mem ms i)) || mem lb i) la
+      && Bitset.find_first a (fun i -> i mod 3 = 1)
+         = List.find_opt (fun i -> i mod 3 = 1) la)
+
 (* ---------- Sorted_list ---------- *)
 
 let compare_int = Int.compare
@@ -261,6 +296,7 @@ let suite =
       tc "bitset word boundaries" test_bitset_word_boundaries;
       tc "bitset bounds" test_bitset_bounds;
       prop_bitset_roundtrip;
+      prop_bitset_model;
       tc "sorted list ops" test_sorted_ops;
       tc "sorted set algebra" test_sorted_set_algebra;
     ] )
