@@ -43,26 +43,9 @@ let sample_update =
     value = Value.Pair (3000, 3);
   }
 
-(* The wire/encode-update and wire/decode-update rows are pinned to frame
-   version v1 (the whole fast group runs under [Wire.Version.scoped V1]),
-   so they keep measuring the same codec as the seed baseline; the v2
-   chooser/compressed paths get their own -v2 rows below. *)
-let bench_wire_encode =
-  Test.make ~name:"wire/encode-update"
-    (Staged.stage (fun () ->
-         Wire.encode (fun e -> Store.Mvr_object.encode_update e sample_update)))
-
-let encoded_update =
-  Wire.Version.scoped Wire.Version.V1 (fun () ->
-      Wire.encode (fun e -> Store.Mvr_object.encode_update e sample_update))
-
-let bench_wire_decode =
-  Test.make ~name:"wire/decode-update"
-    (Staged.stage (fun () -> Wire.decode encoded_update Store.Mvr_object.decode_update))
-
-let encoded_update_v2 =
-  Wire.Version.scoped Wire.Version.V2 (fun () ->
-      Wire.encode (fun e -> Store.Mvr_object.encode_update e sample_update))
+(* The codec rows keep their -v2 names so BENCH_*.json artifacts compare
+   across commits. *)
+let encoded_update = Wire.encode (fun e -> Store.Mvr_object.encode_update e sample_update)
 
 let bench_wire_encode_v2 =
   Test.make ~name:"wire/encode-update-v2"
@@ -71,7 +54,7 @@ let bench_wire_encode_v2 =
 
 let bench_wire_decode_v2 =
   Test.make ~name:"wire/decode-update-v2"
-    (Staged.stage (fun () -> Wire.decode encoded_update_v2 Store.Mvr_object.decode_update))
+    (Staged.stage (fun () -> Wire.decode encoded_update Store.Mvr_object.decode_update))
 
 let compressible_clock = Vclock.of_array (Array.init 16 (fun i -> i * 1000))
 
@@ -286,24 +269,19 @@ let tests_mid =
    trustworthy: at the default budget the vclock rows fit with r^2 of
    0.41/0.59 (i.e. noise). They get their own group under the same "haec"
    prefix — row names in BENCH_results.json are unchanged — run with a
-   larger trial/quota budget. *)
+   larger trial/quota budget. The codec rows share it. *)
 let tests_fast =
   Test.make_grouped ~name:"haec"
     [
       bench_state_join;
       bench_vclock_merge;
       bench_vclock_compare;
-      bench_wire_encode;
-      bench_wire_decode;
       bench_mvr_write;
       bench_mvr_read;
+      bench_wire_encode_v2;
+      bench_wire_decode_v2;
+      bench_vclock_encode_c;
     ]
-
-(* wire-v2 codec rows: same budget as the fast group, run with the v2
-   emission default so the compressed-clock chooser is on the path *)
-let tests_fast_v2 =
-  Test.make_grouped ~name:"haec"
-    [ bench_wire_encode_v2; bench_wire_decode_v2; bench_vclock_encode_c ]
 
 (* ---------- replication soak (E20 harness, machine-readable) ---------- *)
 
@@ -360,18 +338,11 @@ let soak_json ~quick =
 let gossip_json ~quick =
   let module Json = Haec.Obs.Json in
   let seeds n = List.init (if quick then 4 else 12) (fun i -> i + n) in
-  (* each store runs the same seeds twice: once per wire version, so the
-     delta-state machinery's byte savings are a row-to-row diff in the
-     same artifact (E24 charts the same comparison against the Theorem 12
-     floor). [scoped] flips the emission default around the whole sweep —
-     replica states capture it at init — and restores it after. *)
-  let entry label version (module S : Haec.Store.Store_intf.S) require spec mix
-      first_seed =
+  let entry label (module S : Haec.Store.Store_intf.S) require spec mix first_seed =
     let module C = Haec.Sim.Chaos.Make (S) in
     let outcomes =
-      Haec.Wire.Version.scoped version (fun () ->
-          C.run_seeds ~spec_of:(fun _ -> spec) ~mix ~require ~recovery:`Anti_entropy
-            ~adversarial:true ~seeds:(seeds first_seed) ())
+      C.run_seeds ~spec_of:(fun _ -> spec) ~mix ~require ~recovery:`Anti_entropy
+        ~adversarial:true ~seeds:(seeds first_seed) ()
     in
     let runs = List.length outcomes in
     let conv = ref 0 and lost = ref 0 and rounds = ref 0 in
@@ -391,8 +362,7 @@ let gossip_json ~quick =
         digest_b := !digest_b + counter "gossip.digest_bytes";
         repair_b := !repair_b + counter "gossip.repair_bytes")
       outcomes;
-    ( Printf.sprintf "gossip/ae-%s-n3%s" label
-        (match version with Haec.Wire.Version.V1 -> "-v1" | V2 -> ""),
+    ( Printf.sprintf "gossip/ae-%s-n3" label,
       Json.Obj
         [
           ("converged", Json.Num (float_of_int !conv /. float_of_int runs));
@@ -404,14 +374,10 @@ let gossip_json ~quick =
         ] )
   in
   [
-    entry "mvr" Haec.Wire.Version.V2 (module Haec.Store.Mvr_store) `Correct
-      Haec.Spec.Spec.mvr Haec.Sim.Workload.register_mix 1;
-    entry "mvr" Haec.Wire.Version.V1 (module Haec.Store.Mvr_store) `Correct
-      Haec.Spec.Spec.mvr Haec.Sim.Workload.register_mix 1;
-    entry "causal" Haec.Wire.Version.V2 (module Haec.Store.Causal_mvr_store) `Causal
-      Haec.Spec.Spec.mvr Haec.Sim.Workload.register_mix 101;
-    entry "causal" Haec.Wire.Version.V1 (module Haec.Store.Causal_mvr_store) `Causal
-      Haec.Spec.Spec.mvr Haec.Sim.Workload.register_mix 101;
+    entry "mvr" (module Haec.Store.Mvr_store) `Correct Haec.Spec.Spec.mvr
+      Haec.Sim.Workload.register_mix 1;
+    entry "causal" (module Haec.Store.Causal_mvr_store) `Causal Haec.Spec.Spec.mvr
+      Haec.Sim.Workload.register_mix 101;
   ]
 
 (* ---------- live cluster throughput (E25 harness) ---------- *)
@@ -419,8 +385,7 @@ let gossip_json ~quick =
 (* Real domains on real cores (or, on a starved CI box, time-slicing one
    core — the rows record whatever the machine actually delivers):
    saturation ops/s, wall-clock visibility lag and payload bytes per
-   update, for the causal store at 1/2/4 domains and for v1 vs v2 wire
-   at 2 domains. No ns_per_run/r_square fields, so the fit gate and the
+   update, for the causal store at 1/2/4 domains. No ns_per_run/r_square fields, so the fit gate and the
    regression diff skip these rows; they ride in the same artifact for
    cross-commit eyeballing. *)
 let live_json ~quick =
@@ -432,10 +397,7 @@ let live_json ~quick =
   let module DStack = Store.Stack.Durable (Store.Causal_mvr_store) in
   let module DC = Live.Cluster.Make (DStack) in
   let duration = if quick then 0.2 else 0.5 in
-  let run ?(version = Wire.Version.V2) ~n () =
-    Wire.Version.scoped version (fun () ->
-        C.run { Live.Cluster.default with Live.Cluster.replicas = n; duration })
-  in
+  let run ~n = C.run { Live.Cluster.default with Live.Cluster.replicas = n; duration } in
   let run_faulted ~n cfg_of =
     DC.run (cfg_of { Live.Cluster.default with Live.Cluster.replicas = n; duration })
   in
@@ -469,10 +431,9 @@ let live_json ~quick =
          ~horizon:1.0 ())
   in
   [
-    entry "live/causal-n1" (run ~n:1 ());
-    entry "live/causal-n2" (run ~n:2 ());
-    entry "live/causal-n2-v1" (run ~version:Wire.Version.V1 ~n:2 ());
-    entry "live/causal-n4" (run ~n:4 ());
+    entry "live/causal-n1" (run ~n:1);
+    entry "live/causal-n2" (run ~n:2);
+    entry "live/causal-n4" (run ~n:4);
     entry "live/causal-n2-drop1"
       (run_faulted ~n:2 (fun c -> { c with Live.Cluster.drop_p = 0.01 }));
     entry "live/causal-n2-crash"
@@ -511,20 +472,11 @@ let run_micro ~quick ~live () =
   in
   let raw = Benchmark.all cfg instances tests in
   let raw_mid = Benchmark.all cfg_mid instances tests_mid in
-  (* the seeded rows measure the v1 codec; the -v2 rows the v2 one *)
-  let raw_fast =
-    Wire.Version.scoped Wire.Version.V1 (fun () ->
-        Benchmark.all cfg_fast instances tests_fast)
-  in
-  let raw_fast_v2 =
-    Wire.Version.scoped Wire.Version.V2 (fun () ->
-        Benchmark.all cfg_fast instances tests_fast_v2)
-  in
+  let raw_fast = Benchmark.all cfg_fast instances tests_fast in
   let merged analyze =
     let tbl = analyze raw in
     Hashtbl.iter (fun k v -> Hashtbl.replace tbl k v) (analyze raw_mid);
     Hashtbl.iter (fun k v -> Hashtbl.replace tbl k v) (analyze raw_fast);
-    Hashtbl.iter (fun k v -> Hashtbl.replace tbl k v) (analyze raw_fast_v2);
     tbl
   in
   let results = merged (Analyze.all ols Instance.monotonic_clock) in

@@ -31,68 +31,6 @@ let jobs_arg =
 
 let set_jobs = function Some j -> Util.Par.set_default_domains j | None -> ()
 
-(* ---------- wire / anti-entropy tunables ---------- *)
-
-(* one shared flag block for every command that runs a store over the
-   simulated network; the setters validate, so bad values surface as a
-   cmdliner error instead of a backtrace *)
-type tuning = {
-  wire : Wire.Version.t option;
-  repair_batch : int option;
-  max_backoff : int option;
-  full_digest_every : int option;
-}
-
-let tuning_term =
-  let wire =
-    Arg.(
-      value
-      & opt (some (enum [ ("v1", Wire.Version.V1); ("v2", Wire.Version.V2) ])) None
-      & info [ "wire" ] ~docv:"VERSION"
-          ~doc:
-            "Wire format to emit: v1|v2 (default v2). Decoders accept both; a \
-             replica that receives a v1 anti-entropy envelope downgrades its \
-             own emission for that session.")
-  in
-  let repair_batch =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "repair-batch" ] ~docv:"N"
-          ~doc:"Anti-entropy: max repair payloads answered per digest (>= 1, default 32)")
-  in
-  let max_backoff =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-backoff" ] ~docv:"N"
-          ~doc:
-            "Anti-entropy: cap on the per-origin re-request backoff doubling, in \
-             gossip rounds (>= 1, default 32)")
-  in
-  let full_digest_every =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "full-digest-every" ] ~docv:"N"
-          ~doc:
-            "Wire v2: emit an absolute digest every N gossip rounds, delta or \
-             elided digests in between (>= 1, default 4)")
-  in
-  let mk wire repair_batch max_backoff full_digest_every =
-    { wire; repair_batch; max_backoff; full_digest_every }
-  in
-  Term.(const mk $ wire $ repair_batch $ max_backoff $ full_digest_every)
-
-let apply_tuning t =
-  try
-    Option.iter Wire.Version.set t.wire;
-    Option.iter Store.Anti_entropy.set_repair_batch t.repair_batch;
-    Option.iter Store.Anti_entropy.set_max_backoff t.max_backoff;
-    Option.iter Store.Anti_entropy.set_full_digest_every t.full_digest_every;
-    Ok ()
-  with Invalid_argument msg -> Error msg
-
 (* ---------- experiment commands ---------- *)
 
 let list_cmd =
@@ -283,21 +221,18 @@ let simulate_cmd =
       & opt (some string) None
       & info [ "metrics" ] ~doc:"Write a metrics snapshot (JSONL) to FILE")
   in
-  let run jobs tuning store net n objects ops seed verbose dump metrics =
+  let run jobs store net n objects ops seed verbose dump metrics =
     set_jobs jobs;
-    match apply_tuning tuning with
-    | Error msg -> `Error (false, msg)
-    | Ok () ->
-      simulate_store store ~seed ~n ~objects ~ops ~policy:(policy_of net)
-        ~net_name:(net_name_of net) ~faulty_net:(net_is_faulty net) ~verbose ~dump
-        ~metrics;
-      `Ok ()
+    simulate_store store ~seed ~n ~objects ~ops ~policy:(policy_of net)
+      ~net_name:(net_name_of net) ~faulty_net:(net_is_faulty net) ~verbose ~dump
+      ~metrics;
+    `Ok ()
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run a random workload on a store over a simulated network")
     Term.(
       ret
-        (const run $ jobs_arg $ tuning_term $ store $ net $ n $ objects $ ops $ seed
+        (const run $ jobs_arg $ store $ net $ n $ objects $ ops $ seed
         $ verbose $ dump $ metrics))
 
 (* ---------- chaos ---------- *)
@@ -501,12 +436,9 @@ let chaos_cmd =
             "Delta-debug each failing seed to a minimal still-failing (plan, workload) \
              repro; with --dump-dir also writes the minimized trace and repro file")
   in
-  let run jobs tuning store net n objects ops seed runs dump_dir metrics require
-      recovery adversarial churn shrink =
+  let run jobs store net n objects ops seed runs dump_dir metrics require recovery
+      adversarial churn shrink =
     set_jobs jobs;
-    match apply_tuning tuning with
-    | Error msg -> `Error (false, msg)
-    | Ok () ->
     let policy = policy_of net in
     let dump_dir = match dump_dir with Some "" -> None | d -> d in
     if churn && recovery <> `Anti_entropy then
@@ -524,7 +456,7 @@ let chaos_cmd =
        ~doc:"Crash, drop and corrupt under seeded random fault schedules, then check convergence")
     Term.(
       ret
-        (const run $ jobs_arg $ tuning_term $ store $ net $ n $ objects $ ops $ seed
+        (const run $ jobs_arg $ store $ net $ n $ objects $ ops $ seed
         $ runs $ dump_dir $ metrics $ require_arg $ recovery_arg $ adversarial_arg
         $ churn_arg $ shrink_arg))
 
@@ -1105,12 +1037,9 @@ let trace_cmd =
   let slowest =
     Arg.(value & opt int 5 & info [ "slowest" ] ~doc:"Slowest observations to list")
   in
-  let run jobs tuning store net n objects ops seed recovery adversarial churn why
-      export out time_scale slowest =
+  let run jobs store net n objects ops seed recovery adversarial churn why export out
+      time_scale slowest =
     set_jobs jobs;
-    match apply_tuning tuning with
-    | Error msg -> `Error (false, msg)
-    | Ok () ->
     let policy = policy_of net in
     if churn && recovery <> `Anti_entropy then
       `Error (false, "--churn needs --recovery anti-entropy")
@@ -1125,7 +1054,7 @@ let trace_cmd =
           every sim-time unit of visibility lag to encode/network/repair/dep/bootstrap")
     Term.(
       ret
-        (const run $ jobs_arg $ tuning_term $ store $ net $ n $ objects $ ops $ seed
+        (const run $ jobs_arg $ store $ net $ n $ objects $ ops $ seed
         $ recovery_arg $ adversarial_arg $ churn_arg $ why $ export $ out $ time_scale
         $ slowest))
 
@@ -1155,12 +1084,11 @@ let serve_store (e : Catalogue.entry) ~cfg ~capture_path ~check ~metrics_path =
   | Error msg -> `Error (false, msg)
   | Ok res ->
     let open Live.Cluster in
-    Format.printf "live store=%s replicas=%d duration=%.2fs rate=%s batch=%d wire=%s@."
-      S.name res.cfg.replicas res.cfg.duration
+    Format.printf "live store=%s replicas=%d duration=%.2fs rate=%s batch=%d@." S.name
+      res.cfg.replicas res.cfg.duration
       (if res.cfg.rate > 0.0 then Printf.sprintf "%.0f/s/replica" res.cfg.rate
        else "saturation")
-      res.cfg.batch
-      (Wire.Version.name (Wire.Version.current ()));
+      res.cfg.batch;
     Format.printf
       "ops=%d (%.0f ops/s aggregate over %.3fs) issued=%d updates=%d converged=%b \
        (drain %.3fs)@."
@@ -1511,35 +1439,31 @@ let serve_cmd =
       & info [ "metrics" ] ~docv:"FILE"
           ~doc:"Append the run's metrics registry snapshot to $(i,FILE) as JSONL")
   in
-  let run tuning store n duration rate objects zipf read_pct batch gossip_ms ring seed
+  let run store n duration rate objects zipf read_pct batch gossip_ms ring seed
       capture_path check chaos adversarial crashes partitions drop_p heal_by
       metrics_path =
-    match apply_tuning tuning with
+    match build_live_plan ~seed ~n ~duration ~chaos ~adversarial ~crashes ~partitions with
     | Error msg -> `Error (false, msg)
-    | Ok () -> (
-      match build_live_plan ~seed ~n ~duration ~chaos ~adversarial ~crashes ~partitions
-      with
-      | Error msg -> `Error (false, msg)
-      | Ok faults ->
-        let cfg =
-          {
-            Live.Cluster.replicas = n;
-            seed;
-            objects;
-            mix = Live.Load.of_shape store.Catalogue.shape ~read_pct;
-            zipf;
-            duration;
-            rate;
-            batch;
-            gossip_interval = gossip_ms /. 1000.0;
-            ring_capacity = ring;
-            capture = check || capture_path <> None;
-            faults;
-            drop_p;
-            heal_by;
-          }
-        in
-        serve_store store ~cfg ~capture_path ~check ~metrics_path)
+    | Ok faults ->
+      let cfg =
+        {
+          Live.Cluster.replicas = n;
+          seed;
+          objects;
+          mix = Live.Load.of_shape store.Catalogue.shape ~read_pct;
+          zipf;
+          duration;
+          rate;
+          batch;
+          gossip_interval = gossip_ms /. 1000.0;
+          ring_capacity = ring;
+          capture = check || capture_path <> None;
+          faults;
+          drop_p;
+          heal_by;
+        }
+      in
+      serve_store store ~cfg ~capture_path ~check ~metrics_path
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1550,7 +1474,7 @@ let serve_cmd =
           audited by the simulation checkers")
     Term.(
       ret
-        (const run $ tuning_term $ store $ n $ duration $ rate $ objects $ zipf
+        (const run $ store $ n $ duration $ rate $ objects $ zipf
         $ read_pct $ batch $ gossip_ms $ ring $ seed $ capture_arg $ check_arg
         $ chaos_arg $ adversarial_arg $ crash_arg $ partition_arg $ drop_arg
         $ heal_by_arg $ metrics_arg))

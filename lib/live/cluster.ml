@@ -738,9 +738,9 @@ module Make (S : Haec_store.Stack.S) = struct
        component instead: all components settled twice in a row is the
        degraded steady state the paper's availability claims are about,
        recorded in the outcome. Ring occupancy is deliberately NOT
-       consulted: under wire v1 the steady state exchanges digest frames
-       forever, so "rings empty" would time the poll out on a converged
-       cluster. *)
+       consulted: a converged cluster still sends a forced full digest
+       every [Anti_entropy.full_digest_every] gossip rounds, so "rings
+       empty" would time the poll out on a converged cluster. *)
     let converged = ref false in
     let degraded_settled = ref false in
     let full_streak = ref 0 in

@@ -37,19 +37,18 @@
     tick re-announces, and the durable replay of the logged update stream
     ({!Durable.Make}) reconstructs [have] and the log exactly.
 
-    {b Wire v2.} When {!Haec_wire.Wire.Version} selects [V2] at replica
-    creation, the same protocol rides a leaner encoding (DESIGN.md §4h):
-    the envelope leads with a [0x00, 2] version marker (a v1 envelope
-    starts with its item count, which is at least 1, so the two framings
-    are self-describing); full digests are compressed vector clocks; a
-    digest whose [have] already matches the last one sent is {e elided}
-    entirely (a full digest is still forced every {!full_digest_every}
-    rounds, bounding staleness), and otherwise only the {e changed}
-    entries go out as a {!Haec_wire.Wire.Gossip.Digest_delta}; the
-    repairs queued in one round toward one destination are merged,
-    deduplicated, and encoded as {!Haec_wire.Wire.Gossip.Repair_runs} —
-    per-origin runs of consecutive sequence numbers, so the per-payload
-    [(origin, seq)] labels collapse into one run header. Three further
+    {b Wire format.} The envelope leads with the container marker
+    ({!Haec_wire.Wire.write_marker}); an envelope without it, or with any
+    version byte but 2, is rejected as malformed. Full digests are
+    compressed vector clocks; a digest whose [have] already matches the
+    last one sent is {e elided} entirely (a full digest is still forced
+    every {!full_digest_every} rounds, bounding staleness), and otherwise
+    only the {e changed} entries go out as a
+    {!Haec_wire.Wire.Gossip.Digest_delta}; the repairs queued in one round
+    toward one destination are merged, deduplicated, and encoded as
+    {!Haec_wire.Wire.Gossip.Repair_runs} — per-origin runs of consecutive
+    sequence numbers, so the per-payload [(origin, seq)] labels collapse
+    into one run header (DESIGN.md §4h). Three further
     duplicate-suppression rules exploit the broadcast transport: an
     update or repair item proves what its {e sender} holds, so receivers
     lift their view of the sender accordingly without waiting for a
@@ -57,11 +56,7 @@
     its push by one digest cycle, giving the origin — which every digest
     also reached — the first shot; and repair payloads addressed to a
     third replica are ingested opportunistically, since the bytes arrived
-    anyway. Decoding is version-agnostic throughout — every v2 layout
-    hides behind a marker byte no v1 item starts with — so mixed fleets
-    interoperate; a replica that {e receives} a v1 envelope downgrades its
-    own emissions to v1 for good (sticky negotiation), which keeps a
-    mixed fleet conservatively on the common format.
+    anyway.
 
     {b Dynamic membership.} A joining replica announces itself with a
     {!Haec_wire.Wire.Gossip.Hello} (via {!Make.announce_join}, applied by
@@ -85,33 +80,19 @@
 open Haec_wire
 open Haec_vclock
 
-(* Protocol tunables. Process-global atomics rather than per-state fields
-   so the CLI can set them once before any replica exists; the setters
-   validate because a zero batch or backoff deadlocks repair. *)
+(* Protocol constants: payloads per origin in one repair batch, the cap on
+   backoff doubling in gossip rounds, and the rounds between forced full
+   digests. *)
 
-let repair_batch_v = Atomic.make 32
+let repair_batch = 32
 
-let max_backoff_v = Atomic.make 32
+let max_backoff = 32
 
-let full_digest_every_v = Atomic.make 4
+let full_digest_every = 4
 
-let repair_batch () = Atomic.get repair_batch_v
-
-let max_backoff () = Atomic.get max_backoff_v
-
-let full_digest_every () = Atomic.get full_digest_every_v
-
-let set_repair_batch n =
-  if n < 1 then invalid_arg "Anti_entropy.set_repair_batch: must be >= 1";
-  Atomic.set repair_batch_v n
-
-let set_max_backoff n =
-  if n < 1 then invalid_arg "Anti_entropy.set_max_backoff: must be >= 1";
-  Atomic.set max_backoff_v n
-
-let set_full_digest_every n =
-  if n < 1 then invalid_arg "Anti_entropy.set_full_digest_every: must be >= 1";
-  Atomic.set full_digest_every_v n
+let expect_marker dec =
+  if not (Wire.read_marker dec) then
+    raise (Wire.Decoder.Malformed "anti-entropy envelope: no marker")
 
 (* Pure classifier for trace labels: name the protocol items riding in an
    encoded anti-entropy envelope without touching any state. Repair items
@@ -120,14 +101,7 @@ let set_full_digest_every n =
 let classify payload =
   match
     Wire.decode payload (fun dec ->
-        (* v2 envelopes lead with a 0x00 marker and a version byte; a v1
-           envelope starts with its item count >= 1 *)
-        if Wire.Decoder.peek dec = 0 then begin
-          let _ = Wire.Decoder.uint dec in
-          let v = Wire.Decoder.uint dec in
-          if Wire.Version.of_int v = None then
-            raise (Wire.Decoder.Malformed "anti-entropy envelope: unknown version")
-        end;
+        expect_marker dec;
         let count = Wire.Decoder.uint dec in
         let items = ref [] in
         let add name extra =
@@ -157,17 +131,6 @@ let classify payload =
             let _ = Wire.Decoder.uint dec in
             let _ = Wire.Decoder.uint dec in
             add "request" 1
-          | Wire.Gossip.Repair ->
-            let _ = Wire.Decoder.uint dec in
-            let k = ref 0 in
-            let _ =
-              Wire.Decoder.list dec (fun dec ->
-                  let _ = Wire.Decoder.uint dec in
-                  let _ = Wire.Decoder.uint dec in
-                  Wire.Decoder.skip_string dec;
-                  incr k)
-            in
-            add "repair" !k
           | Wire.Gossip.Repair_runs ->
             let _ = Wire.Decoder.uint dec in
             let runs = Wire.Decoder.uint dec in
@@ -205,8 +168,7 @@ module Make (S : Store_intf.S) : sig
 
   val tick : state -> state
   (** Advance the gossip round counter and queue a digest broadcast (the
-      store then [has_pending]) — unless, under wire v2, the digest would
-      repeat the last one sent and no full digest is due, in which case
+      store then [has_pending]) — unless the digest would repeat the last one sent and no full digest is due, in which case
       the round stays quiet and the elision is counted. Called by the
       simulator's gossip driver; deliberately {e not} a logged input —
       see the module comment. *)
@@ -244,13 +206,8 @@ module Make (S : Store_intf.S) : sig
   (** Repair payload bytes sitting in the outbound queue (the dominant
       term of the backlog; control items are O(1) bytes each). Like
       {!queue_depth} this is a pre-[send] backpressure signal, not a
-      wire-bytes measure — the v2 encoder may still dedup and
+      wire-bytes measure — the encoder may still dedup and
       run-compress these payloads at send time. *)
-
-  val emit_version : state -> Wire.Version.t
-  (** The frame version this replica currently emits: the global
-      {!Haec_wire.Wire.Version.current} at [init] time, downgraded to
-      [V1] — permanently — the first time a v1 envelope is received. *)
 
   val epoch : state -> int
   (** Highest membership epoch announced by or to this replica; 0 until
@@ -288,15 +245,15 @@ end = struct
     push_backoff : int;
     defer : Int_set.t;
         (** origins whose push toward this peer already waited one digest
-            cycle for the origin itself to serve it (wire v2 only) *)
+            cycle for the origin itself to serve it *)
   }
 
   (* control items queued for the next broadcast; a digest is a marker,
      not a snapshot — the [have] vector is read at send time so it always
-     reflects the updates travelling in the same payload. Under wire v2
-     the marker resolves at send time to a full digest, a delta against
-     the last digest sent, or nothing; [force_full] (membership traffic)
-     pins it to a full digest. *)
+     reflects the updates travelling in the same payload. The marker
+     resolves at send time to a full digest, a delta against the last
+     digest sent, or nothing; [force_full] (membership traffic) pins it
+     to a full digest. *)
   type out_item =
     | Out_digest of { force_full : bool }
     | Out_request of { dst : int; origin : int; from_seq : int }
@@ -320,7 +277,6 @@ end = struct
     outq_rev : out_item list;
     epoch : int;  (** highest membership epoch seen *)
     away : Int_set.t;  (** peers that said goodbye *)
-    emit : Wire.Version.t;  (** see [emit_version] *)
     last_sent_digest : Vclock.t option;  (** [have] as of the last digest sent *)
     last_full_round : int;  (** round of the last full digest sent *)
     stats : Store_intf.gossip_stats;
@@ -361,7 +317,6 @@ end = struct
       outq_rev = [];
       epoch = 0;
       away = Int_set.empty;
-      emit = Wire.Version.current ();
       last_sent_digest = None;
       last_full_round = 0;
       stats = Store_intf.fresh_gossip_stats ();
@@ -389,8 +344,6 @@ end = struct
           List.fold_left (fun a (_, _, p) -> a + String.length p) acc items
         | Out_digest _ | Out_request _ | Out_hello _ | Out_goodbye _ -> acc)
       0 t.outq_rev
-
-  let emit_version t = t.emit
 
   let epoch t = t.epoch
 
@@ -472,9 +425,8 @@ end = struct
      logged payloads, at most {!repair_batch} — stopping at the first gap
      never sends less than the contiguous prefix the requester is missing *)
   let batch_from t ~origin ~from_seq =
-    let cap = repair_batch () in
     let rec go seq acc count =
-      if count = cap then List.rev acc
+      if count = repair_batch then List.rev acc
       else
         match log_find t ~origin ~seq with
         | None -> List.rev acc
@@ -509,15 +461,12 @@ end = struct
            repaired promptly *)
         (t, { view; push_due = t.rounds; push_backoff = 1; defer = Int_set.empty })
       else begin
-        (* under v2, a replica that is not the origin holds its push for
-           one digest cycle — the origin heard the same digest and serves
-           its own stream first; we only step in if the peer is still
-           behind at its next digest *)
+        (* a replica that is not the origin holds its push for one
+           digest cycle — the origin heard the same digest and serves its
+           own stream first; we only step in if the peer is still behind
+           at its next digest *)
         let ready, wait =
-          match t.emit with
-          | Wire.Version.V1 -> (!behind, [])
-          | Wire.Version.V2 ->
-            List.partition (fun o -> o = t.me || Int_set.mem o p.defer) !behind
+          List.partition (fun o -> o = t.me || Int_set.mem o p.defer) !behind
         in
         if ready <> [] && t.rounds >= p.push_due then begin
           let items =
@@ -529,25 +478,20 @@ end = struct
             if items = [] then t
             else { t with outq_rev = Out_repair { dst = sender; items } :: t.outq_rev }
           in
-          (* send-side optimism (v2): credit the peer with what was just
+          (* send-side optimism: credit the peer with what was just
              pushed, so a stale or duplicated digest cannot re-trigger the
              same push. If the frame is lost the peer stays behind, sees us
              ahead in our next (periodic) digest, and its repair request —
              answered ungated — closes the gap; the push path never fires
              for these seqs again, the request path always will *)
           let view =
-            match t.emit with
-            | Wire.Version.V1 -> view
-            | Wire.Version.V2 ->
-              List.fold_left
-                (fun v (o, seq, _) -> Vclock.raise_to v o (seq + 1))
-                view items
+            List.fold_left (fun v (o, seq, _) -> Vclock.raise_to v o (seq + 1)) view items
           in
           ( t,
             {
               view;
               push_due = t.rounds + p.push_backoff;
-              push_backoff = min (2 * p.push_backoff) (max_backoff ());
+              push_backoff = min (2 * p.push_backoff) max_backoff;
               defer = Int_set.of_list wait;
             } )
         end
@@ -577,7 +521,7 @@ end = struct
               req_due = Int_map.add o (t.contents.rounds + backoff) t.contents.req_due;
               req_backoff =
                 Int_map.add o
-                  (min (2 * backoff) (max_backoff ()))
+                  (min (2 * backoff) max_backoff)
                   t.contents.req_backoff;
             }
         end
@@ -590,22 +534,14 @@ end = struct
       raise
         (Wire.Decoder.Malformed (Printf.sprintf "anti-entropy %s: replica %d" what r))
 
-  (* [v2] says the enclosing envelope was a v2 frame: the broadcast-
-     exploiting rules (view inference, opportunistic repair ingestion)
-     apply only then, keeping the v1 protocol behaviour byte-for-byte and
-     step-for-step what it was *)
-  let receive_item t ~sender ~v2 dec =
+  let receive_item t ~sender dec =
     match Wire.Gossip.decode_kind dec with
     | Wire.Gossip.Update ->
       let seq = Wire.Decoder.uint dec in
       let payload = Wire.Decoder.string dec in
       check_replica t "update" sender;
-      let t =
-        if v2 then
-          (* a sender's own stream is contiguous by construction *)
-          note_peer_has t ~peer:sender ~origin:sender ~from_seq:0 ~upto:(seq + 1)
-        else t
-      in
+      (* a sender's own stream is contiguous by construction *)
+      let t = note_peer_has t ~peer:sender ~origin:sender ~from_seq:0 ~upto:(seq + 1) in
       ingest t ~origin:sender ~seq ~payload ~via_repair:false
     | Wire.Gossip.Digest ->
       let clock = Vclock.decode_any dec in
@@ -649,30 +585,6 @@ end = struct
         | [] -> t
         | items -> { t with outq_rev = Out_repair { dst = sender; items } :: t.outq_rev }
       end
-    | Wire.Gossip.Repair ->
-      let dst = Wire.Decoder.uint dec in
-      let items =
-        Wire.Decoder.list dec (fun dec ->
-            let origin = Wire.Decoder.uint dec in
-            let seq = Wire.Decoder.uint dec in
-            let payload = Wire.Decoder.string dec in
-            (origin, seq, payload))
-      in
-      check_replica t "repair" dst;
-      List.iter (fun (origin, _, _) -> check_replica t "repair" origin) items;
-      let t =
-        if v2 then
-          List.fold_left
-            (fun t (origin, seq, _) ->
-              note_peer_has t ~peer:sender ~origin ~from_seq:seq ~upto:(seq + 1))
-            t items
-        else t
-      in
-      if dst <> t.me then t
-      else
-        List.fold_left
-          (fun t (origin, seq, payload) -> ingest t ~origin ~seq ~payload ~via_repair:true)
-          t items
     | Wire.Gossip.Repair_runs ->
       (* one merged repair toward [dst]: per-origin runs of consecutive
          seqs. The bytes reached every replica, so even when [dst] is a
@@ -732,29 +644,13 @@ end = struct
     (* fold the envelope's items in order through the state; [Wire.decode]
        checks the whole input was consumed *)
     Wire.decode payload (fun dec ->
-        let v2 = Wire.Decoder.peek dec = 0 in
-        let t =
-          if v2 then begin
-            let _ = Wire.Decoder.uint dec in
-            let v = Wire.Decoder.uint dec in
-            (match Wire.Version.of_int v with
-            | Some Wire.Version.V2 -> ()
-            | _ ->
-              raise (Wire.Decoder.Malformed "anti-entropy envelope: unknown version"));
-            t
-          end
-          else if t.emit = Wire.Version.V1 then t
-          else
-            (* sticky downgrade: a peer that talks v1 may not understand
-               v2 layouts, so from here on neither do we emit them *)
-            { t with emit = Wire.Version.V1 }
-        in
+        expect_marker dec;
         let count = Wire.Decoder.uint dec in
         if count > Wire.Decoder.remaining dec then
           raise (Wire.Decoder.Malformed "anti-entropy envelope: item count exceeds input");
         let t = ref t in
         for _ = 1 to count do
-          t := receive_item !t ~sender ~v2 dec
+          t := receive_item !t ~sender dec
         done;
         !t)
 
@@ -768,10 +664,9 @@ end = struct
     let t = { t with rounds = t.rounds + 1 } in
     if List.exists is_digest t.outq_rev then t
     else if
-      (* v2 elision: nothing changed since the last digest went out and no
+      (* elision: nothing changed since the last digest went out and no
          periodic full digest is due — stay quiet this round *)
-      t.emit = Wire.Version.V2
-      && t.rounds - t.last_full_round < full_digest_every ()
+      t.rounds - t.last_full_round < full_digest_every
       && (match t.last_sent_digest with
          | Some d -> Vclock.equal d t.have
          | None -> false)
@@ -812,7 +707,6 @@ end = struct
       end
       else (t, None)
     in
-    let v2 = t.emit = Wire.Version.V2 in
     let outs = List.rev t.outq_rev in
     let digest_marker = List.exists is_digest outs in
     let force_full =
@@ -831,28 +725,25 @@ end = struct
         outs
       |> List.sort_uniq (fun (o1, s1, _) (o2, s2, _) -> compare (o1, s1) (o2, s2))
     in
+    (* every receiver opportunistically ingests any repair in the
+       broadcast, whoever it is addressed to — so a payload already
+       present for one destination need not repeat for another *)
     let repair_packets =
-      if not v2 then List.map (fun dst -> (dst, merged_repair dst)) repair_dsts
-      else begin
-        (* under v2 every receiver opportunistically ingests any repair in
-           the broadcast, whoever it is addressed to — so a payload already
-           present for one destination need not repeat for another *)
-        let seen = Hashtbl.create 64 in
-        List.filter_map
-          (fun dst ->
-            let items =
-              List.filter
-                (fun (o, s, _) ->
-                  if Hashtbl.mem seen (o, s) then false
-                  else begin
-                    Hashtbl.add seen (o, s) ();
-                    true
-                  end)
-                (merged_repair dst)
-            in
-            if items = [] then None else Some (dst, items))
-          repair_dsts
-      end
+      let seen = Hashtbl.create 64 in
+      List.filter_map
+        (fun dst ->
+          let items =
+            List.filter
+              (fun (o, s, _) ->
+                if Hashtbl.mem seen (o, s) then false
+                else begin
+                  Hashtbl.add seen (o, s) ();
+                  true
+                end)
+              (merged_repair dst)
+          in
+          if items = [] then None else Some (dst, items))
+        repair_dsts
     in
     let outs =
       List.filter (function Out_digest _ | Out_repair _ -> false | _ -> true) outs
@@ -861,11 +752,10 @@ end = struct
        update above ticked it *)
     let digest_mode =
       if not digest_marker then `Absent
-      else if not v2 then `Full
       else if
         force_full
         || t.last_sent_digest = None
-        || t.rounds - t.last_full_round >= full_digest_every ()
+        || t.rounds - t.last_full_round >= full_digest_every
       then `Full
       else
         match t.last_sent_digest with
@@ -881,12 +771,7 @@ end = struct
     let st = t.stats in
     let payload =
       Wire.encode (fun enc ->
-          if v2 then begin
-            (* envelope version marker: a v1 envelope starts with its item
-               count, which is always >= 1 *)
-            Wire.Encoder.uint enc 0;
-            Wire.Encoder.uint enc (Wire.Version.to_int Wire.Version.V2)
-          end;
+          Wire.write_marker enc;
           Wire.Encoder.uint enc count;
           let mark = ref (Wire.Encoder.size_bytes enc) in
           let bytes () =
@@ -909,7 +794,7 @@ end = struct
             st.Store_intf.digests_elided <- st.Store_intf.digests_elided + 1
           | `Full ->
             Wire.Gossip.encode_kind enc Wire.Gossip.Digest;
-            if v2 then Vclock.encode_c enc t.have else Vclock.encode enc t.have;
+            Vclock.encode_c enc t.have;
             st.Store_intf.digests <- st.Store_intf.digests + 1;
             st.Store_intf.digest_bytes <- st.Store_intf.digest_bytes + bytes ()
           | `Delta prev ->
@@ -952,29 +837,17 @@ end = struct
             outs;
           List.iter
             (fun (dst, items) ->
-              if v2 then begin
-                Wire.Gossip.encode_kind enc Wire.Gossip.Repair_runs;
-                Wire.Encoder.uint enc dst;
-                let runs = to_runs items in
-                Wire.Encoder.uint enc (List.length runs);
-                List.iter
-                  (fun (origin, from_seq, payloads) ->
-                    Wire.Encoder.uint enc origin;
-                    Wire.Encoder.uint enc from_seq;
-                    Wire.Encoder.uint enc (List.length payloads);
-                    List.iter (Wire.Encoder.string enc) payloads)
-                  runs
-              end
-              else begin
-                Wire.Gossip.encode_kind enc Wire.Gossip.Repair;
-                Wire.Encoder.uint enc dst;
-                Wire.Encoder.list enc
-                  (fun enc (origin, seq, payload) ->
-                    Wire.Encoder.uint enc origin;
-                    Wire.Encoder.uint enc seq;
-                    Wire.Encoder.string enc payload)
-                  items
-              end;
+              Wire.Gossip.encode_kind enc Wire.Gossip.Repair_runs;
+              Wire.Encoder.uint enc dst;
+              let runs = to_runs items in
+              Wire.Encoder.uint enc (List.length runs);
+              List.iter
+                (fun (origin, from_seq, payloads) ->
+                  Wire.Encoder.uint enc origin;
+                  Wire.Encoder.uint enc from_seq;
+                  Wire.Encoder.uint enc (List.length payloads);
+                  List.iter (Wire.Encoder.string enc) payloads)
+                runs;
               st.Store_intf.repairs <- st.Store_intf.repairs + 1;
               st.Store_intf.repair_bytes <- st.Store_intf.repair_bytes + bytes ())
             repair_packets)

@@ -65,11 +65,10 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
      the same message, so loss, duplication, and reordering of whole
      messages cannot desynchronize the codec. *)
   let encode_batch enc records =
-    (* wire v2 compresses both legs of the dependency framing: the
-       absolute head clock via the packed/run-length chooser and each
-       later delta sparsely (only changed entries); decode accepts either
-       form via the marker byte, so the batch stays self-describing *)
-    let v2 = Wire.Version.current () = Wire.Version.V2 in
+    (* both legs of the dependency framing compress: the absolute head
+       clock via the packed/run-length chooser and each later delta
+       sparsely (only changed entries); each falls back to its raw form
+       behind no marker, so the batch stays self-describing *)
     Wire.Encoder.uint enc (List.length records);
     let prev = ref None in
     List.iter
@@ -77,10 +76,8 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
         Wire.Encoder.uint enc r.origin;
         Wire.Encoder.uint enc r.useq;
         (match !prev with
-        | None -> if v2 then Vclock.encode_c enc r.dep else Vclock.encode enc r.dep
-        | Some p ->
-          if v2 then Vclock.encode_delta_c enc ~prev:p r.dep
-          else Vclock.encode_delta enc ~prev:p r.dep);
+        | None -> Vclock.encode_c enc r.dep
+        | Some p -> Vclock.encode_delta_c enc ~prev:p r.dep);
         prev := Some r.dep;
         Wire.Encoder.uint enc r.obj;
         Obj.encode_update enc r.u)

@@ -13,12 +13,11 @@ type update_record = {
   deps : Dot.Set.t;  (** nearest dependencies (global dots) *)
 }
 
-(* A v1 batch is a record list, so it starts with a count >= 1 ([send]
-   refuses an empty pending queue). A v2 batch prepends the marker
-   [0x00, 2] and compresses each record's dependency set; the update's
-   clocks compress through {!Mvr_object.encode_update} under either
-   version. Decoding dispatches on the leading byte, so either side can
-   read either batch. *)
+(* A batch is a record list, so it starts with a count >= 1 ([send]
+   refuses an empty pending queue). A marked batch prepends the container
+   marker and compresses each record's dependency set; the update's
+   clocks compress through {!Mvr_object.encode_update} either way.
+   Decoding dispatches on the leading byte, so both batches read back. *)
 
 let encode_record enc r =
   Dot.encode enc r.dot;
@@ -26,17 +25,17 @@ let encode_record enc r =
   Mvr_object.encode_update enc r.u;
   Dot.encode_set enc r.deps
 
-let encode_record_v2 enc r =
+let encode_record_c enc r =
   Dot.encode enc r.dot;
   Wire.Encoder.uint enc r.obj;
   Mvr_object.encode_update enc r.u;
   Dot.encode_set_c enc r.deps
 
-let decode_record ~v2 dec =
+let decode_record ~marked dec =
   let dot = Dot.decode dec in
   let obj = Wire.Decoder.uint dec in
   let u = Mvr_object.decode_update dec in
-  let deps = if v2 then Dot.decode_set_any dec else Dot.decode_set dec in
+  let deps = if marked then Dot.decode_set_any dec else Dot.decode_set dec in
   { dot; obj; u; deps }
 
 type state = {
@@ -170,17 +169,13 @@ let send t =
     Wire.encode (fun enc ->
         let records = List.rev t.pending in
         (* the marked batch costs 2 bytes up front and compresses only
-           the dependency sets (the update's clocks compress under either
-           layout), so emit it exactly when the sets pay for the marker *)
-        let saves =
-          Wire.Version.current () = Wire.Version.V2
-          && List.fold_left (fun a r -> a + Dot.set_c_delta r.deps) 2 records < 0
-        in
-        if not saves then Wire.Encoder.list enc encode_record records
+           the dependency sets (the update's clocks compress in either
+           batch), so emit it exactly when the sets pay for the marker *)
+        if List.fold_left (fun a r -> a + Dot.set_c_delta r.deps) 2 records >= 0 then
+          Wire.Encoder.list enc encode_record records
         else begin
-          Wire.Encoder.uint enc 0;
-          Wire.Encoder.uint enc 2;
-          Wire.Encoder.list enc encode_record_v2 records
+          Wire.write_marker enc;
+          Wire.Encoder.list enc encode_record_c records
         end)
   in
   ({ t with pending = [] }, payload)
@@ -188,17 +183,8 @@ let send t =
 let receive t ~sender:_ payload =
   let records =
     Wire.decode payload (fun dec ->
-        if Wire.Decoder.peek dec <> 0 then
-          Wire.Decoder.list dec (decode_record ~v2:false)
-        else begin
-          ignore (Wire.Decoder.uint dec);
-          (match Wire.Decoder.uint dec with
-          | 2 -> ()
-          | v ->
-            raise
-              (Wire.Decoder.Malformed (Printf.sprintf "unknown batch version %d" v)));
-          Wire.Decoder.list dec (decode_record ~v2:true)
-        end)
+        let marked = Wire.read_marker dec in
+        Wire.Decoder.list dec (decode_record ~marked))
   in
   List.iter
     (fun r ->

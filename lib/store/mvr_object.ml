@@ -45,14 +45,10 @@ let visible_dots t =
   done;
   !acc
 
-(* The clock codec is the only version-dependent part: v2 emits the
-   compressed self-describing form, and [decode_update] accepts either
-   via the marker byte, so mixed-version peers interoperate without any
-   per-connection negotiation state. *)
+(* The clock goes out in its smallest self-describing form (the raw
+   layout when nothing smaller exists); [decode_update] reads any. *)
 let encode_update enc u =
-  (match Wire.Version.current () with
-  | Wire.Version.V1 -> Vclock.encode enc u.vv
-  | Wire.Version.V2 -> Vclock.encode_c enc u.vv);
+  Vclock.encode_c enc u.vv;
   Dot.encode enc u.dot;
   Value.encode enc u.value
 
@@ -81,9 +77,7 @@ let join a b =
 
 let encode enc t =
   Wire.Encoder.uint enc t.n;
-  (match Wire.Version.current () with
-  | Wire.Version.V1 -> Vclock.encode enc t.cc
-  | Wire.Version.V2 -> Vclock.encode_c enc t.cc);
+  Vclock.encode_c enc t.cc;
   Wire.Encoder.list enc encode_update t.sibs
 
 let decode dec =

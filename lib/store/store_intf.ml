@@ -68,7 +68,7 @@ type gossip_stats = {
   mutable digest_deltas : int;
       (** wire-v2 delta digests sent in place of full digests *)
   mutable digests_elided : int;
-      (** gossip rounds whose digest was suppressed as redundant (v2) *)
+      (** gossip rounds whose digest was suppressed as redundant *)
 }
 
 let fresh_gossip_stats () =

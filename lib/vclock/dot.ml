@@ -33,16 +33,16 @@ let encode_set enc s = Wire.Encoder.list enc encode (Set.elements s)
 
 let decode_set dec = Set.of_list (Wire.Decoder.list dec decode)
 
-(* Compressed sets, for version-marked containers only. The v1 layout
-   encodes an empty set as the single byte 0x00, so a leading zero is NOT
-   self-describing here (unlike vclocks, whose v1 form always starts with
+(* Compressed sets, for marked containers only. The raw layout encodes
+   an empty set as the single byte 0x00, so a leading zero is NOT
+   self-describing here (unlike vclocks, whose raw form always starts with
    a count >= 1): the caller must already know from an enclosing frame
    marker that the compressed grammar applies. Layouts:
-     count >= 1, (replica, seq)*          -- the v1 pair list
+     count >= 1, (replica, seq)*          -- the raw pair list
      0x00, 0x00                           -- empty set
      0x00, count >= 1, rw, sw, packed replicas, packed seqs
    The chooser emits whichever is smaller, so a compressed set never
-   exceeds its v1 size by more than the 1-byte empty-set marker. *)
+   exceeds its raw size by more than the 1-byte empty-set marker. *)
 
 let varint_len v =
   let rec go v acc = if v < 0x80 then acc else go (v lsr 7) (acc + 1) in
@@ -52,29 +52,29 @@ let bit_width v =
   let rec go v acc = if v = 0 then max acc 1 else go (v lsr 1) (acc + 1) in
   go v 0
 
-(* (v1 bytes, compressed bytes, replica width, seq width) for [s]; the
-   compressed layout never beats v1 on the empty set (2 bytes vs 1) and
+(* (raw bytes, compressed bytes, replica width, seq width) for [s]; the
+   compressed layout never beats raw on the empty set (2 bytes vs 1) and
    only wins on sets big enough to amortise the width header *)
 let set_sizes s =
   if Set.is_empty s then (1, 2, 0, 0)
   else begin
     let count = Set.cardinal s in
-    let rw = ref 1 and sw = ref 1 and v1 = ref (varint_len count) in
+    let rw = ref 1 and sw = ref 1 and raw = ref (varint_len count) in
     Set.iter
       (fun d ->
         rw := max !rw (bit_width d.replica);
         sw := max !sw (bit_width d.seq);
-        v1 := !v1 + varint_len d.replica + varint_len d.seq)
+        raw := !raw + varint_len d.replica + varint_len d.seq)
       s;
     let packed =
       1 + varint_len count + 2 + (((count * !rw) + 7) / 8) + (((count * !sw) + 7) / 8)
     in
-    (!v1, min !v1 packed, !rw, !sw)
+    (!raw, min !raw packed, !rw, !sw)
   end
 
 let set_c_delta s =
-  let v1, c, _, _ = set_sizes s in
-  c - v1
+  let raw, c, _, _ = set_sizes s in
+  c - raw
 
 let encode_set_c enc s =
   let elts = Set.elements s in
@@ -84,8 +84,8 @@ let encode_set_c enc s =
     Wire.Encoder.uint enc 0
   end
   else begin
-    let v1, best, rw, sw = set_sizes s in
-    if best >= v1 then encode_set enc s
+    let raw, best, rw, sw = set_sizes s in
+    if best >= raw then encode_set enc s
     else begin
       Wire.Encoder.uint enc 0;
       Wire.Encoder.uint enc count;

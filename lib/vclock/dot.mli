@@ -31,10 +31,10 @@ val decode_set : Wire.Decoder.t -> Set.t
 val encode_set_c : Wire.Encoder.t -> Set.t -> unit
 (** Compressed set: bit-packs replicas and seqs when that beats the
     {!encode_set} pair list. The two layouts are distinguished by a
-    leading zero, which the v1 layout also uses for the empty set — so
-    this encoding is only safe inside containers that already carry a
-    version marker (e.g. a v2 update batch); {!decode_set} cannot read
-    it and vice versa. *)
+    leading zero, which the raw layout also uses for the empty set — so
+    this encoding is only safe inside containers that carry the container
+    marker (e.g. a marked COPS batch); {!decode_set} cannot read it and
+    vice versa. *)
 
 val decode_set_any : Wire.Decoder.t -> Set.t
 (** Reads either {!encode_set_c} layout. Only call where the enclosing

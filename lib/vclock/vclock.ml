@@ -134,15 +134,15 @@ let decode dec = of_decoded (Wire.Decoder.uint_array dec)
 
 (* ---- wire v2: compressed absolute clocks ----
 
-   Self-describing against the v1 layout: a v1 clock starts with its
+   Self-describing against the raw layout: a raw clock starts with its
    length varint, which is at least 1 ([zero] rejects n = 0), so a leading
    0x00 unambiguously marks a compressed layout. After the marker, a
    header byte selects the mode: 0 is run-length (run count, then
    (length, value) pairs), and w in [1, 56] is bit-packing (length varint,
    then ceil(n*w/8) payload bytes, little-endian bit order). The encoder
    computes all three candidate sizes in one pass over the entries and
-   emits the smallest — the raw fallback is byte-identical to v1, so a
-   compressed clock is never larger than its v1 encoding. *)
+   emits the smallest — the raw fallback is byte-identical to [encode], so
+   a compressed clock is never larger than its raw encoding. *)
 
 let varint_len v =
   let rec go acc v = if v < 0x80 then acc else go (acc + 1) (v lsr 7) in
@@ -289,7 +289,7 @@ let decode_delta dec ~prev =
    entries beats the dense delta. Layout after the 0x00 marker: a changed
    count, then (gap, delta) pairs — [gap] the number of unchanged entries
    skipped since the previous changed one, [delta] the strictly positive
-   increment. The dense fallback is byte-identical to v1 ([n] >= 1 leads),
+   increment. The dense fallback is [encode_delta] itself ([n] >= 1 leads),
    so the sparse form is never larger. *)
 
 let encode_delta_c enc ~prev t =

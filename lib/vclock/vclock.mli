@@ -79,12 +79,12 @@ val encode : Wire.Encoder.t -> t -> unit
 val decode : Wire.Decoder.t -> t
 
 val encode_c : Wire.Encoder.t -> t -> unit
-(** Wire-v2 compressed clock: one pass computes the raw (v1), run-length,
-    and bit-packed sizes and emits the smallest, so the result is never
-    larger than {!encode}. Compressed layouts lead with a 0x00 marker — a
-    byte no v1 clock starts with ([n >= 1]) — keeping the stream
-    self-describing; raw fallback is byte-identical to v1. Requires a
-    non-empty clock. *)
+(** Wire-v2 compressed clock: one pass computes the raw, run-length, and
+    bit-packed sizes and emits the smallest, so the result is never larger
+    than {!encode}. Compressed layouts lead with a 0x00 marker — a byte no
+    raw clock starts with ([n >= 1]) — keeping the stream
+    self-describing; the raw fallback is byte-identical to {!encode}.
+    Requires a non-empty clock. *)
 
 val decode_any : Wire.Decoder.t -> t
 (** Decode either {!encode} or {!encode_c} output (the marker byte
@@ -108,7 +108,7 @@ val decode_delta : Wire.Decoder.t -> prev:t -> t
 val encode_delta_c : Wire.Encoder.t -> prev:t -> t -> unit
 (** Wire-v2 delta: lists only the changed entries as (gap, increment)
     pairs behind a 0x00 marker when that is smaller than the dense
-    {!encode_delta} form, which stays the fallback (byte-identical to v1).
+    {!encode_delta} form, which stays the fallback.
     Same [prev] contract as {!encode_delta}. *)
 
 val decode_delta_any : Wire.Decoder.t -> prev:t -> t

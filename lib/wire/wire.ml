@@ -1,46 +1,3 @@
-module Version = struct
-  (* The negotiated frame version. [V1] is the original layout: every
-     integer a LEB128 varint, every vector clock a length-prefixed varint
-     array. [V2] adds the compressed layouts (bit-packed / run-length
-     vectors, sparse deltas, delta digests, grouped repair runs), each one
-     self-describing behind a leading 0x00 marker byte — a position where
-     every v1 encoding puts a varint that is at least 1 — so decoders are
-     version-agnostic: any replica decodes both formats, and the
-     configured version governs only what a replica *emits*. *)
-  type t = V1 | V2
-
-  let to_int = function V1 -> 1 | V2 -> 2
-
-  let of_int = function
-    | 1 -> Some V1
-    | 2 -> Some V2
-    | _ -> None
-
-  let name = function V1 -> "v1" | V2 -> "v2"
-
-  (* One process-global default, read when a replica state is created or a
-     message encoded. Set once at CLI start (before any worker domain
-     spawns), so parallel seed sweeps see a coherent value. *)
-  let default = Atomic.make V2
-
-  let current () = Atomic.get default
-
-  let set v = Atomic.set default v
-
-  (* Scoped override for experiments that compare v1 against v2 in one
-     process; restores on exit or exception. *)
-  let scoped v f =
-    let saved = Atomic.get default in
-    Atomic.set default v;
-    match f () with
-    | x ->
-      Atomic.set default saved;
-      x
-    | exception exn ->
-      Atomic.set default saved;
-      raise exn
-end
-
 module Encoder = struct
   (* A bare [Bytes.t] grown in place: [Buffer] pays a closure-guarded
      bounds check and a function call per byte, which dominates varint
@@ -389,6 +346,25 @@ module Decoder = struct
               t.limit))
 end
 
+(* The container marker. Every raw layout starts with a varint that is at
+   least 1 (a count or a vector size), so a leading 0x00 cannot be raw;
+   the byte after it names the format, and 2 is the only one written. *)
+let marker_version = 2
+
+let write_marker enc =
+  Encoder.uint enc 0;
+  Encoder.uint enc marker_version
+
+let read_marker dec =
+  if Decoder.peek dec <> 0 then false
+  else begin
+    ignore (Decoder.uint dec);
+    let v = Decoder.uint dec in
+    if v <> marker_version then
+      raise (Decoder.Malformed (Printf.sprintf "unknown container version %d" v));
+    true
+  end
+
 (* One long-lived scratch encoder per domain serves every non-nested
    [encode]: the replication hot path serializes one small message at a
    time, and reusing the grown byte block removes the per-message
@@ -483,17 +459,15 @@ module Gossip = struct
   (* The anti-entropy envelope kinds (Haec_store.Anti_entropy) live here so
      the tag space is fixed at the wire layer: telemetry, tests, and any
      future store transformer agree on what a digest or a repair item is
-     without depending on the store library. Tags 6 and 7 are the wire-v2
-     additions: a [Digest_delta] carries only the [have] entries that
-     changed since the sender's last digest, and [Repair_runs] carries one
-     merged per-peer repair as per-origin runs of consecutive sequence
-     numbers. V1 emitters never produce them; every decoder accepts
-     them. *)
+     without depending on the store library. A [Digest_delta] carries only
+     the [have] entries that changed since the sender's last digest, and
+     [Repair_runs] carries one merged per-peer repair as per-origin runs
+     of consecutive sequence numbers. Tag 3, the per-payload repair item
+     of the old unmarked envelope, is retired and never reassigned. *)
   type kind =
     | Update
     | Digest
     | Repair_request
-    | Repair
     | Hello
     | Goodbye
     | Digest_delta
@@ -503,7 +477,6 @@ module Gossip = struct
     | Update -> 0
     | Digest -> 1
     | Repair_request -> 2
-    | Repair -> 3
     | Hello -> 4
     | Goodbye -> 5
     | Digest_delta -> 6
@@ -513,7 +486,6 @@ module Gossip = struct
     | Update -> "update"
     | Digest -> "digest"
     | Repair_request -> "repair-request"
-    | Repair -> "repair"
     | Hello -> "hello"
     | Goodbye -> "goodbye"
     | Digest_delta -> "digest-delta"
@@ -526,7 +498,6 @@ module Gossip = struct
     | 0 -> Update
     | 1 -> Digest
     | 2 -> Repair_request
-    | 3 -> Repair
     | 4 -> Hello
     | 5 -> Goodbye
     | 6 -> Digest_delta

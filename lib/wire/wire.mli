@@ -8,36 +8,15 @@
     are zigzag-mapped first, so small magnitudes of either sign stay short.
     Lists and strings are length-prefixed.
 
-    {b Frame versions.} [V1] is the layout above. [V2] adds compressed
-    layouts — bit-packed / run-length vector clocks, sparse delta vectors,
-    delta digests, grouped repair runs — each self-describing behind a
-    leading [0x00] marker byte, a position where every v1 encoding puts a
-    varint that is at least 1. Decoders are therefore version-agnostic
-    (anything decodes both formats); {!Version} only governs what gets
-    {e emitted}. *)
-
-module Version : sig
-  type t = V1 | V2
-
-  val to_int : t -> int
-
-  val of_int : int -> t option
-
-  val name : t -> string
-
-  val current : unit -> t
-  (** The process-global emission default, initially [V2]. Read when a
-      replica state is created or a message encoded. *)
-
-  val set : t -> unit
-  (** Set the global default. Call once at startup, before worker domains
-      spawn. *)
-
-  val scoped : t -> (unit -> 'a) -> 'a
-  (** [scoped v f] runs [f] with the default set to [v], restoring the
-      previous default on return or exception. For experiments comparing
-      v1 against v2 in one process. *)
-end
+    {b Compressed layouts.} The layout above is the {e raw} one. Bit-packed
+    and run-length vector clocks and sparse delta vectors each hide behind
+    a leading [0x00] byte, a position where every raw encoding puts a
+    varint that is at least 1, so a raw value still decodes wherever a
+    compressed one may appear. Encoders emit the raw layout as their
+    fallback whenever it is the smallest. Containers that carry compressed
+    items (the anti-entropy envelope, a COPS batch with compressed dependency
+    sets) lead with the
+    two-byte marker [[0x00, 2]] of {!write_marker}. *)
 
 module Encoder : sig
   type t
@@ -123,8 +102,8 @@ module Decoder : sig
 
   val peek : t -> int
   (** The next byte without consuming it. Raises [Malformed] at end of
-      input. The v2 format dispatch: a leading [0x00] marks a compressed
-      layout, anything else is a v1 varint. *)
+      input. The layout dispatch: a leading [0x00] marks a compressed
+      layout, anything else is a raw varint. *)
 
   val list : t -> (t -> 'a) -> 'a list
 
@@ -171,23 +150,23 @@ module Gossip : sig
   (** Message kinds of the anti-entropy protocol
       ({!Haec_store.Anti_entropy}). The tag space is fixed here, at the
       wire layer, so stores, telemetry and tests agree on the envelope
-      without depending on each other: an anti-entropy payload is a
-      length-prefixed sequence of tagged items — seq-numbered {!Update}
-      payloads, version-vector {!Digest}s, targeted {!Repair_request}s and
-      batched {!Repair} payloads answering them. Dynamic membership adds
-      two control kinds: {!Hello} announces a replica entering the set at
-      a given epoch (a joiner's first digest rides with it, triggering the
-      bootstrap state transfer), {!Goodbye} announces a graceful leave.
-      Wire v2 adds two more: {!Digest_delta} carries only the [have]
-      entries that changed since the sender's last digest, and
-      {!Repair_runs} carries one merged per-peer repair as per-origin runs
-      of consecutive sequence numbers. *)
+      without depending on each other: an anti-entropy payload is the
+      container marker ({!write_marker}) and a length-prefixed sequence of
+      tagged items — seq-numbered {!Update} payloads, version-vector
+      {!Digest}s and their sparse {!Digest_delta}s (only the [have]
+      entries changed since the sender's last digest), targeted
+      {!Repair_request}s, and {!Repair_runs} answering them (one merged
+      per-peer repair as per-origin runs of consecutive sequence numbers).
+      Dynamic membership adds two control kinds: {!Hello} announces a
+      replica entering the set at a given epoch (a joiner's first digest
+      rides with it, triggering the bootstrap state transfer), {!Goodbye}
+      announces a graceful leave. Tag 3 (the per-payload repair item of
+      the old unmarked envelope) is retired and decodes as [Malformed]. *)
 
   type kind =
     | Update
     | Digest
     | Repair_request
-    | Repair
     | Hello
     | Goodbye
     | Digest_delta
@@ -209,6 +188,16 @@ val encode : (Encoder.t -> unit) -> string
 val decode : string -> (Decoder.t -> 'a) -> 'a
 (** [decode s f] decodes with [f] and checks the whole input was consumed.
     Raises {!Decoder.Malformed} on any framing error. *)
+
+val write_marker : Encoder.t -> unit
+(** The container marker [[0x00, 2]]: the zero no raw layout starts with,
+    then the format version. *)
+
+val read_marker : Decoder.t -> bool
+(** Consumes a container marker and returns [true] if the input starts
+    with one; returns [false], consuming nothing, if the input starts with
+    a raw varint. Raises {!Decoder.Malformed} at end of input or on a
+    version byte other than 2. *)
 
 val size_bits : string -> int
 (** Size of a serialized message in bits (8 per byte). *)

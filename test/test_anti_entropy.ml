@@ -84,46 +84,47 @@ let test_duplicates_dropped () =
   Alcotest.(check bool) "duplicate counted" true
     (gs.Store.Store_intf.dup_payloads > 0)
 
-(* The per-peer push backoff must be forgiven the moment a peer's digest
-   shows new progress: a digest that merely repeats a known-stale view is
-   suppressed (backoff doubling), but one whose clock has advanced — the
-   peer applied something since we last looked — resets the backoff and
-   queues a push immediately instead of waiting out the old deadline.
-   Pinned to wire v1: under v2 a push optimistically credits the peer, so
-   the re-push this test drives is replaced by the requester path (covered
-   by the wire-v2 protocol tests). *)
+(* The per-peer push backoff doubles while a peer's digests show nothing
+   new, and is forgiven the moment one shows progress. A push credits the
+   peer with what it carried, so a stale digest only asks for a push again
+   once the pusher has written more; every broadcast of the pusher is lost
+   here, so the peer never moves on its own. [pushes] looks for queued
+   repair payloads: requests and digest markers carry none. *)
 let test_push_backoff_forgiven_on_progress () =
-  let a, b =
-    Wire.Version.scoped Wire.Version.V1 (fun () ->
-        (AE.init ~n:2 ~me:0, AE.init ~n:2 ~me:1))
+  let a = AE.init ~n:2 ~me:0 and b = AE.init ~n:2 ~me:1 in
+  let pushes a = AE.pending_bytes a > 0 in
+  let write_lost st v =
+    let st, _, _ = AE.do_op st ~obj:0 (Model.Op.Write (vi v)) in
+    fst (AE.send st)
   in
-  let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 1)) in
-  let a, p1 = AE.send a in
-  let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 2)) in
-  let a, _lost2 = AE.send a in
-  let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 3)) in
-  let a, _lost3 = AE.send a in
-  (* all three broadcasts are lost; b's empty digest solicits a push *)
+  let a = write_lost a 1 in
+  (* b's digest shows it has nothing *)
   let b = AE.tick b in
-  let _, d0 = AE.send b in
+  let b, d0 = AE.send b in
   let a = AE.receive a ~sender:1 d0 in
-  Alcotest.(check bool) "first stale digest queues a push" true
-    (AE.has_pending a);
+  Alcotest.(check bool) "first stale digest queues a push" true (pushes a);
   let a, _lost_push = AE.send a in
-  (* the same stale digest again (a duplicate delivery): the per-peer
-     backoff suppresses the redundant push *)
+  (* round 0, backoff 1: the next push may go at round 1 *)
+  let a = write_lost a 2 in
   let a = AE.receive a ~sender:1 d0 in
-  Alcotest.(check bool) "repeated stale digest backed off" false
-    (AE.has_pending a);
-  (* the peer finally makes progress (the first payload lands late); its
-     next digest has advanced beyond the view we recorded, so the backoff
-     must reset and a push fire immediately — not at the old deadline *)
-  let b = AE.receive b ~sender:0 p1 in
+  Alcotest.(check bool) "stale digest inside the backoff window" false (pushes a);
+  let a = AE.tick a in
+  let a = AE.receive a ~sender:1 d0 in
+  Alcotest.(check bool) "push again once the round is up" true (pushes a);
+  let a, _lost = AE.send a in
+  (* round 1, backoff doubled to 2: nothing before round 3 *)
+  let a = write_lost a 3 in
+  let a = AE.tick a in
+  let a = AE.receive a ~sender:1 d0 in
+  Alcotest.(check bool) "doubled backoff still running at round 2" false (pushes a);
+  (* the peer makes progress of its own (its update is lost too); its
+     next digest goes beyond the view we recorded, so the backoff resets
+     and the push fires now, not at round 3 *)
+  let b = write_lost b 9 in
   let b = AE.tick b in
   let _, d1 = AE.send b in
   let a = AE.receive a ~sender:1 d1 in
-  Alcotest.(check bool) "digest showing progress resets the backoff" true
-    (AE.has_pending a)
+  Alcotest.(check bool) "digest showing progress resets the backoff" true (pushes a)
 
 (* ---------- adversarial fault plans ---------- *)
 

@@ -1,9 +1,9 @@
-(* Wire v2: compressed clocks and dot sets, version negotiation, and
-   frame-level fuzzing of both envelope generations. The chaos harness
+(* Wire v2: compressed clocks and dot sets, the container marker, and
+   frame-level fuzzing of anti-entropy envelopes. The chaos harness
    treats a [Malformed] that escapes the CRC frame check as a hard
-   error, so the decoding contract tested here is: valid frames of
-   either version decode, every truncation raises [Malformed], and no
-   input ever crashes or silently misdecodes past the checksum. *)
+   error, so the decoding contract tested here is: valid frames decode,
+   every truncation and every unmarked envelope raises [Malformed], and
+   no input ever crashes or silently misdecodes past the checksum. *)
 
 open Helpers
 open Haec
@@ -65,7 +65,8 @@ let prop_delta_c_never_larger =
       String.length (encoded (fun e -> Vclock.encode_delta_c e ~prev next))
       <= String.length (encoded (fun e -> Vclock.encode_delta e ~prev next)))
 
-(* the v1 byte layout is a compatibility contract: pin it *)
+(* the raw layout is the fallback every compressed encoder still emits
+   when nothing smaller exists: pin its bytes *)
 let test_v1_golden_bytes () =
   Alcotest.(check string) "v1 clock bytes" "\x03\x01\x02\x03"
     (encoded (fun e -> Vclock.encode e (Vclock.of_array [| 1; 2; 3 |])));
@@ -94,24 +95,22 @@ let prop_dot_set_c_delta_exact =
 
 (* ---------- envelope fuzz: truncation and byte flips ---------- *)
 
-(* a small two-replica session, produced under [version], returning every
-   distinct payload the protocol put on the wire: updates, a digest, and
-   a repair batch *)
-let session_payloads version =
-  Wire.Version.scoped version (fun () ->
-      let a = AE.init ~n:2 ~me:0 and b = AE.init ~n:2 ~me:1 in
-      let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 1)) in
-      let a, p1 = AE.send a in
-      let a, _, _ = AE.do_op a ~obj:1 (Model.Op.Write (vi 2)) in
-      let a, lost = AE.send a in
-      let b = AE.receive b ~sender:0 p1 in
-      let b = AE.tick b in
-      let b, digest = AE.send b in
-      let a = AE.receive a ~sender:1 digest in
-      let a, repair = AE.send a in
-      let b = AE.receive b ~sender:0 repair in
-      ignore (a, b);
-      [ p1; lost; digest; repair ])
+(* a small two-replica session returning every distinct payload the
+   protocol put on the wire: updates, a digest, and a repair batch *)
+let session_payloads () =
+  let a = AE.init ~n:2 ~me:0 and b = AE.init ~n:2 ~me:1 in
+  let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 1)) in
+  let a, p1 = AE.send a in
+  let a, _, _ = AE.do_op a ~obj:1 (Model.Op.Write (vi 2)) in
+  let a, lost = AE.send a in
+  let b = AE.receive b ~sender:0 p1 in
+  let b = AE.tick b in
+  let b, digest = AE.send b in
+  let a = AE.receive a ~sender:1 digest in
+  let a, repair = AE.send a in
+  let b = AE.receive b ~sender:0 repair in
+  ignore (a, b);
+  [ p1; lost; digest; repair ]
 
 let expect_malformed ~what payload =
   let b = AE.init ~n:2 ~me:1 in
@@ -120,36 +119,28 @@ let expect_malformed ~what payload =
   | exception Wire.Decoder.Malformed _ -> ()
 
 let test_truncation_fuzz () =
-  List.iter
-    (fun version ->
-      List.iteri
-        (fun pi payload ->
-          for len = 0 to String.length payload - 1 do
-            expect_malformed
-              ~what:
-                (Printf.sprintf "%s payload %d cut to %d bytes"
-                   (Wire.Version.name version) pi len)
-              (String.sub payload 0 len)
-          done)
-        (session_payloads version))
-    [ Wire.Version.V1; Wire.Version.V2 ]
+  List.iteri
+    (fun pi payload ->
+      for len = 0 to String.length payload - 1 do
+        expect_malformed
+          ~what:(Printf.sprintf "payload %d cut to %d bytes" pi len)
+          (String.sub payload 0 len)
+      done)
+    (session_payloads ())
 
 let test_sealed_flip_fuzz () =
-  (* a corrupted frame must die at the CRC, whatever the inner version *)
+  (* a corrupted frame must die at the CRC *)
   List.iter
-    (fun version ->
-      List.iter
-        (fun payload ->
-          let framed = Wire.Frame.seal payload in
-          for i = 0 to String.length framed - 1 do
-            let bs = Bytes.of_string framed in
-            Bytes.set bs i (Char.chr (Char.code (Bytes.get bs i) lxor 0x40));
-            match Wire.Frame.unseal (Bytes.to_string bs) with
-            | exception Wire.Decoder.Malformed _ -> ()
-            | _ -> Alcotest.failf "flipped byte %d of a sealed frame accepted" i
-          done)
-        (session_payloads version))
-    [ Wire.Version.V1; Wire.Version.V2 ]
+    (fun payload ->
+      let framed = Wire.Frame.seal payload in
+      for i = 0 to String.length framed - 1 do
+        let bs = Bytes.of_string framed in
+        Bytes.set bs i (Char.chr (Char.code (Bytes.get bs i) lxor 0x40));
+        match Wire.Frame.unseal (Bytes.to_string bs) with
+        | exception Wire.Decoder.Malformed _ -> ()
+        | _ -> Alcotest.failf "flipped byte %d of a sealed frame accepted" i
+      done)
+    (session_payloads ())
 
 let prop_receive_total =
   (* arbitrary bytes: receive either applies or raises Malformed *)
@@ -159,7 +150,7 @@ let prop_receive_total =
       | _ -> true
       | exception Wire.Decoder.Malformed _ -> true)
 
-(* ---------- version negotiation ---------- *)
+(* ---------- the container marker ---------- *)
 
 let drain st =
   let rec go st acc =
@@ -170,93 +161,77 @@ let drain st =
   in
   go st []
 
-let test_mixed_version_convergence () =
-  (* a speaks v2, b speaks v1: both decode the other, and a's first v1
-     envelope from b downgrades a's own emission — permanently *)
-  let a = Wire.Version.scoped Wire.Version.V2 (fun () -> AE.init ~n:2 ~me:0) in
-  let b = Wire.Version.scoped Wire.Version.V1 (fun () -> AE.init ~n:2 ~me:1) in
-  Alcotest.(check string) "a starts at v2" "v2" (Wire.Version.name (AE.emit_version a));
-  let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 7)) in
-  let a, p = AE.send a in
-  let b = AE.receive b ~sender:0 p in
-  Alcotest.(check int) "b applied a's v2 update" 1 (Vclock.get (AE.have b) 0);
-  let b, _, _ = AE.do_op b ~obj:0 (Model.Op.Write (vi 8)) in
-  let _b, p = AE.send b in
-  let a = AE.receive a ~sender:1 p in
-  Alcotest.(check int) "a applied b's v1 update" 1 (Vclock.get (AE.have a) 1);
-  Alcotest.(check string) "a downgraded to v1" "v1" (Wire.Version.name (AE.emit_version a));
-  (* and the downgrade sticks across further v2-scoped traffic *)
-  let a = Wire.Version.scoped Wire.Version.V2 (fun () -> AE.tick a) in
-  let a, ps = drain a in
-  Alcotest.(check string) "still v1 after tick" "v1" (Wire.Version.name (AE.emit_version a));
+let test_unmarked_envelope_rejected () =
+  (* one update item around a real store payload, framed three ways: with
+     the marker (applies), without it as the retired raw envelope was,
+     and with version byte 3; the last two must raise [Malformed] *)
+  let inner = Store.Mvr_store.init ~n:2 ~me:0 in
+  let inner, _, _ = Store.Mvr_store.do_op inner ~obj:0 (Model.Op.Write (vi 7)) in
+  let _, payload = Store.Mvr_store.send inner in
+  let envelope head =
+    encoded (fun e ->
+        head e;
+        Wire.Encoder.uint e 1;
+        Wire.Gossip.encode_kind e Wire.Gossip.Update;
+        Wire.Encoder.uint e 0;
+        Wire.Encoder.string e payload)
+  in
+  let marked = envelope Wire.write_marker in
+  let unmarked = envelope ignore in
+  let v3 =
+    envelope (fun e ->
+        Wire.Encoder.uint e 0;
+        Wire.Encoder.uint e 3)
+  in
+  let b = AE.receive (AE.init ~n:2 ~me:1) ~sender:0 marked in
+  Alcotest.(check int) "marked envelope applied" 1 (Vclock.get (AE.have b) 0);
+  Alcotest.(check string) "marked envelope classified" "update"
+    (Store.Anti_entropy.classify marked);
+  expect_malformed ~what:"unmarked envelope" unmarked;
+  expect_malformed ~what:"version 3 envelope" v3;
+  Alcotest.(check string) "unmarked envelope not classified" ""
+    (Store.Anti_entropy.classify unmarked);
+  (* every envelope the protocol itself emits carries the marker *)
+  let a = AE.tick (AE.init ~n:2 ~me:0) in
+  let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 8)) in
+  let _, ps = drain a in
   List.iter
-    (fun p ->
-      Alcotest.(check bool) "a's digest is a v1 envelope (count >= 1)" true
-        (String.length p > 0 && p.[0] <> '\x00'))
-    ps
+    (fun p -> Alcotest.(check string) "emitted marker" "\x00\x02" (String.sub p 0 2))
+    (ps @ session_payloads ())
 
 let test_v2_lost_push_requester_path () =
-  (* the companion to the v1-pinned backoff test in test_anti_entropy:
-     under v2 a push optimistically credits the peer, so when the push is
-     lost the stale digest cannot re-trigger it — the gap closes from the
-     requester side instead, once a full digest shows b what it misses *)
-  Wire.Version.scoped Wire.Version.V2 (fun () ->
-      let a = AE.init ~n:2 ~me:0 and b = AE.init ~n:2 ~me:1 in
-      let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 1)) in
-      let a, _lost_update = AE.send a in
-      let b = AE.tick b in
-      let b, digest = AE.send b in
-      let a = AE.receive a ~sender:1 digest in
-      Alcotest.(check bool) "push queued" true (AE.has_pending a);
-      let a, _lost_push = AE.send a in
-      (* a now optimistically believes b is caught up: replaying the same
-         stale digest must not trigger another push *)
-      let a = AE.receive a ~sender:1 digest in
-      Alcotest.(check bool) "stale digest re-push suppressed" false (AE.has_pending a);
-      (* recovery: a's periodic full digest tells b it is behind, and b
-         requests the gap — the answer path is never gated *)
-      let rec converge a b fuel =
-        if fuel = 0 then Alcotest.fail "v2 requester path did not converge";
-        let a = AE.tick a and b = AE.tick b in
-        let a, from_a = drain a in
-        let b = List.fold_left (fun b p -> AE.receive b ~sender:0 p) b from_a in
-        let b, from_b = drain b in
-        let a = List.fold_left (fun a p -> AE.receive a ~sender:1 p) a from_b in
-        if Vclock.equal (AE.have a) (AE.have b) && AE.settled [| a; b |] then (a, b)
-        else converge a b (fuel - 1)
-      in
-      let a, b = converge a b 20 in
-      let _, ra, _ = AE.do_op a ~obj:0 Model.Op.Read in
-      let _, rb, _ = AE.do_op b ~obj:0 Model.Op.Read in
-      Alcotest.(check bool) "reads agree after requester-path repair" true (ra = rb))
-
-(* ---------- tunables ---------- *)
-
-let test_tunable_validation () =
-  let check_invalid name f =
-    match f () with
-    | () -> Alcotest.failf "%s: expected Invalid_argument" name
-    | exception Invalid_argument _ -> ()
+  (* the companion to the backoff test in test_anti_entropy: a push
+     optimistically credits the peer, so when the push is lost the stale
+     digest cannot re-trigger it — the gap closes from the requester side
+     instead, once a full digest shows b what it misses *)
+  let a = AE.init ~n:2 ~me:0 and b = AE.init ~n:2 ~me:1 in
+  let a, _, _ = AE.do_op a ~obj:0 (Model.Op.Write (vi 1)) in
+  let a, _lost_update = AE.send a in
+  let b = AE.tick b in
+  let b, digest = AE.send b in
+  let a = AE.receive a ~sender:1 digest in
+  Alcotest.(check bool) "push queued" true (AE.has_pending a);
+  let a, _lost_push = AE.send a in
+  (* a now optimistically believes b is caught up: replaying the same
+     stale digest must not trigger another push *)
+  let a = AE.receive a ~sender:1 digest in
+  Alcotest.(check bool) "stale digest re-push suppressed" false (AE.has_pending a);
+  (* recovery: a's periodic full digest tells b it is behind, and b
+     requests the gap — the answer path is never gated *)
+  let rec converge a b fuel =
+    if fuel = 0 then Alcotest.fail "v2 requester path did not converge";
+    let a = AE.tick a and b = AE.tick b in
+    let a, from_a = drain a in
+    let b = List.fold_left (fun b p -> AE.receive b ~sender:0 p) b from_a in
+    let b, from_b = drain b in
+    let a = List.fold_left (fun a p -> AE.receive a ~sender:1 p) a from_b in
+    if Vclock.equal (AE.have a) (AE.have b) && AE.settled [| a; b |] then (a, b)
+    else converge a b (fuel - 1)
   in
-  check_invalid "repair_batch 0" (fun () -> Store.Anti_entropy.set_repair_batch 0);
-  check_invalid "max_backoff 0" (fun () -> Store.Anti_entropy.set_max_backoff 0);
-  check_invalid "full_digest_every -3" (fun () ->
-      Store.Anti_entropy.set_full_digest_every (-3));
-  (* valid values round-trip, then restore the defaults for the rest of
-     the suite — these are process-wide knobs *)
-  let rb = Store.Anti_entropy.repair_batch ()
-  and mb = Store.Anti_entropy.max_backoff ()
-  and fde = Store.Anti_entropy.full_digest_every () in
-  Store.Anti_entropy.set_repair_batch 7;
-  Store.Anti_entropy.set_max_backoff 9;
-  Store.Anti_entropy.set_full_digest_every 11;
-  Alcotest.(check int) "repair_batch set" 7 (Store.Anti_entropy.repair_batch ());
-  Alcotest.(check int) "max_backoff set" 9 (Store.Anti_entropy.max_backoff ());
-  Alcotest.(check int) "full_digest_every set" 11
-    (Store.Anti_entropy.full_digest_every ());
-  Store.Anti_entropy.set_repair_batch rb;
-  Store.Anti_entropy.set_max_backoff mb;
-  Store.Anti_entropy.set_full_digest_every fde
+  let a, b = converge a b 20 in
+  let _, ra, _ = AE.do_op a ~obj:0 Model.Op.Read in
+  let _, rb, _ = AE.do_op b ~obj:0 Model.Op.Read in
+  Alcotest.(check bool) "reads agree after requester-path repair" true (ra = rb)
 
 let suite =
   ( "wire-v2",
@@ -269,10 +244,9 @@ let suite =
       tc "v1 golden bytes" test_v1_golden_bytes;
       prop_dot_set_c_roundtrip;
       prop_dot_set_c_delta_exact;
-      tc "truncation fuzz (v1 + v2 envelopes)" test_truncation_fuzz;
+      tc "truncation fuzz (v2 envelopes)" test_truncation_fuzz;
       tc "sealed frame flip fuzz" test_sealed_flip_fuzz;
       prop_receive_total;
-      tc "mixed versions converge, downgrade sticks" test_mixed_version_convergence;
+      tc "unmarked or v3 envelope rejected" test_unmarked_envelope_rejected;
       tc "v2 lost push recovered by requester" test_v2_lost_push_requester_path;
-      tc "tunable validation" test_tunable_validation;
     ] )
