@@ -179,7 +179,7 @@ let bench_session =
    checkers read its transitive closure, as [Sim.Checks.validate] does.
    The 60-op and planted samples above are too small to show how the
    correctness and OCC checks scale. *)
-let audit_scale_closed =
+let audit_scale_witness =
   let module R = Sim.Runner.Make (Store.Causal_mvr_store) in
   let rng = Util.Rng.create 21 in
   let sim = R.create ~seed:21 ~n:4 ~policy:(Sim.Net_policy.random_delay ()) () in
@@ -187,7 +187,28 @@ let audit_scale_closed =
   Sim.Workload.run (fun ~replica ~obj op -> R.op sim ~replica ~obj op)
     ~advance:(R.advance_to sim) steps;
   R.run_until_quiescent sim;
-  Spec.Abstract.transitive_closure (R.witness_abstract sim)
+  R.witness_abstract sim
+
+let audit_scale_closed = Spec.Abstract.transitive_closure audit_scale_witness
+
+(* The same witness, unclosed, without the cross-replica edge (983, 997):
+   monotonic writes then fails at update 991 and writes-follow-reads at
+   update 989, so the session checks must locate violations late in a
+   1000-op history. *)
+let audit_scale_late =
+  let a = audit_scale_witness in
+  let late =
+    Spec.Abstract.create ~n:4 (Spec.Abstract.events a)
+      ~vis:(List.filter (( <> ) (983, 997)) (Spec.Abstract.vis_pairs a))
+  in
+  let r = Consistency.Session.check late in
+  assert (r.Consistency.Session.monotonic_writes <> Ok ());
+  assert (r.Consistency.Session.writes_follow_reads <> Ok ());
+  late
+
+let bench_session_late =
+  Test.make ~name:"consistency/session-guarantees-late"
+    (Staged.stage (fun () -> Consistency.Session.check audit_scale_late))
 
 let bench_spec_check_audit =
   Test.make ~name:"spec/check-correct-audit"
@@ -263,6 +284,7 @@ let tests_mid =
       bench_trace_roundtrip;
       bench_spec_check_audit;
       bench_occ_check_audit;
+      bench_session_late;
     ]
 
 (* Sub-100ns operations need far more samples before the OLS slope is

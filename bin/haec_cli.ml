@@ -168,9 +168,10 @@ let simulate_store (e : Catalogue.entry) ~seed ~n ~objects ~ops ~policy ~net_nam
        corrupt_rejected=%d@."
       st.Sim.Runner.crashes st.Sim.Runner.recoveries st.Sim.Runner.dropped
       st.Sim.Runner.retransmitted st.Sim.Runner.corrupt_rejected;
-  let report = Sim.Checks.validate ~quiescent_at exec (R.witness_abstract sim) in
+  let witness = R.witness_abstract sim in
+  let report = Sim.Checks.validate ~quiescent_at exec witness in
   Format.printf "checks: %a@." Sim.Checks.pp_report report;
-  let session = Consistency.Session.check (R.witness_abstract sim) in
+  let session = Consistency.Session.check witness in
   Format.printf "session guarantees: %s@."
     (String.concat ", " (Consistency.Session.holding session));
   (match metrics with

@@ -54,15 +54,11 @@ type verdict =
 
 val check_events : ?model:model -> n:int -> Event.do_event list -> verdict
 (** Indices in the verdict refer to positions in the given list.
-    [model] defaults to [`Ccv]. Internally the causal order is saturated
+    [model] defaults to [`Ccv]. The causal order is saturated
     word-parallel over bitset adjacency rows and the bad patterns are
-    row-intersection queries; verdicts (including witness indices) are
-    identical to {!check_events_reference}. *)
-
-val check_events_reference : ?model:model -> n:int -> Event.do_event list -> verdict
-(** The frozen pre-bit-parallel implementation (list scans, cardinal-based
-    saturation). Exists solely as the oracle for randomized equivalence
-    testing of {!check_events}; never use it on large histories. *)
+    row-intersection queries. Verdicts, witness indices included, are
+    those of the earlier list-based scan, which the test suite keeps as
+    its oracle. *)
 
 val check : ?model:model -> Execution.t -> verdict
 (** Convenience: checks the do events of an execution. *)

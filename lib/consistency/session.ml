@@ -9,219 +9,154 @@ type report = {
   writes_follow_reads : (unit, string) result;
 }
 
-(* Frozen quantifier-literal implementations, kept verbatim as the oracle
-   for the bitset-based fast paths below (and as the authoritative witness
-   scan when a fast path reports a violation). Do not optimize them. *)
+(* Each guarantee is one pass of word-parallel row tests over the
+   visibility rows [rows.(j) = {i | i vis j}] and their transpose
+   [seen.(i) = {j | i vis j}]. A pass finds the outer index of the first
+   violation in the order the definition's quantifiers are nested (the
+   order a literal scan would meet it); only that index's candidates are
+   then scanned, with {!Bitset.min_diff} naming the least witness. So a
+   failing history costs about what a passing one does. Nothing below
+   assumes visibility respects H order: an execution built with
+   [Abstract.create_unchecked] may see later events, which is why the
+   [e > w] bounds are explicit. *)
 
-let check_read_your_writes_reference a =
+let build_seen a =
   let len = Abstract.length a in
-  let exception Bad of string in
-  try
-    for w = 0 to len - 1 do
-      let dw = Abstract.event a w in
-      if Op.is_update dw.Event.op then
-        for e = w + 1 to len - 1 do
-          let de = Abstract.event a e in
-          if
-            de.Event.replica = dw.Event.replica
-            && de.Event.obj = dw.Event.obj
-            && not (Abstract.vis a w e)
-          then raise (Bad (Printf.sprintf "own update %d invisible to later event %d" w e))
-        done
-    done;
-    Ok ()
-  with Bad m -> Error m
-
-let check_monotonic_reads_reference a =
-  let len = Abstract.length a in
-  let exception Bad of string in
-  try
-    for e = 0 to len - 1 do
-      let de = Abstract.event a e in
-      for e' = e + 1 to len - 1 do
-        let de' = Abstract.event a e' in
-        if de'.Event.replica = de.Event.replica then
-          List.iter
-            (fun w ->
-              if not (Abstract.vis a w e') then
-                raise
-                  (Bad (Printf.sprintf "update %d visible to %d but not to later %d" w e e')))
-            (Abstract.vis_preds a e)
-      done
-    done;
-    Ok ()
-  with Bad m -> Error m
-
-let check_monotonic_writes_reference a =
-  let len = Abstract.length a in
-  let exception Bad of string in
-  try
-    for w = 0 to len - 1 do
-      let dw = Abstract.event a w in
-      if Op.is_update dw.Event.op then
-        (* earlier updates of the issuer, on any object *)
-        for w' = 0 to w - 1 do
-          let dw' = Abstract.event a w' in
-          if dw'.Event.replica = dw.Event.replica && Op.is_update dw'.Event.op then
-            for e = w + 1 to len - 1 do
-              if Abstract.vis a w e && not (Abstract.vis a w' e) then
-                raise
-                  (Bad
-                     (Printf.sprintf
-                        "update %d visible to %d without the issuer's earlier update %d" w
-                        e w'))
-            done
-        done
-    done;
-    Ok ()
-  with Bad m -> Error m
-
-let check_writes_follow_reads_reference a =
-  let len = Abstract.length a in
-  let exception Bad of string in
-  try
-    for w = 0 to len - 1 do
-      let dw = Abstract.event a w in
-      if Op.is_update dw.Event.op then
-        (* updates visible to the issuer at issue time, on any object *)
-        List.iter
-          (fun w' ->
-            let dw' = Abstract.event a w' in
-            if Op.is_update dw'.Event.op then
-              for e = w + 1 to len - 1 do
-                if Abstract.vis a w e && not (Abstract.vis a w' e) then
-                  raise
-                    (Bad
-                       (Printf.sprintf
-                          "update %d visible to %d without its observed predecessor %d" w e
-                          w'))
-              done)
-          (Abstract.vis_preds a w)
-    done;
-    Ok ()
-  with Bad m -> Error m
-
-let check_reference a =
-  {
-    read_your_writes = check_read_your_writes_reference a;
-    monotonic_reads = check_monotonic_reads_reference a;
-    monotonic_writes = check_monotonic_writes_reference a;
-    writes_follow_reads = check_writes_follow_reads_reference a;
-  }
-
-(* Bit-parallel fast paths. Each guarantee reduces to subset tests over
-   whole visibility rows:
-
-   - RYW: walking each replica in H order with an accumulator of its own
-     updates per object, every event must see the whole accumulator.
-   - MR: visibility at a replica only grows, and [⊆] is transitive, so
-     checking consecutive same-replica pairs covers all pairs.
-   - MW: [w] visible at [e] must drag along the issuer's earlier update
-     [w']; in transpose rows that is [seen(w) ⊆ seen(w')], and again
-     consecutive same-replica update pairs suffice by transitivity.
-   - WFR: same subset test, for every update [w'] visible to [w]'s issuer
-     when issuing.
-
-   MW/WFR via full transpose rows quantify over *all* events seeing [w],
-   whereas the definitions quantify only over [e] after [w]; on any
-   order-respecting execution (Definition 4 condition 3) these coincide.
-   The fast paths are therefore conservative: a fast pass implies the
-   reference passes, and a fast failure re-runs the reference checker both
-   to confirm and to produce the same witness message it always produced. *)
-
-let build_rows a =
-  let len = Abstract.length a in
-  Array.init len (fun e -> Abstract.vis_row a e)
-
-let build_seen rows =
-  let len = Array.length rows in
   let seen = Array.init len (fun _ -> Bitset.create len) in
   for e = 0 to len - 1 do
-    Bitset.iter rows.(e) (fun i -> Bitset.set seen.(i) e)
+    Bitset.iter (Abstract.vis_row a e) (fun i -> Bitset.set seen.(i) e)
   done;
   seen
 
-let ryw_holds a rows =
+(* [(i, x)] for the least [i >= lo] with [f i = Some x]; the caller has
+   established that one exists. *)
+let rec first_from lo f = match f lo with Some x -> (lo, x) | None -> first_from (lo + 1) f
+
+(* RYW: for update [w], then later [e] on [w]'s replica and object, [w]
+   must be visible to [e]. Walking H with each (replica, object)'s own
+   updates so far, the updates [e] misses are [own \ rows(e)]; the least
+   [w] over all [e] is the first violation, then its least [e]. *)
+let read_your_writes a is_upd =
   let len = Abstract.length a in
-  let acc : (int * int, Bitset.t) Hashtbl.t = Hashtbl.create 16 in
-  let ok = ref true in
-  let e = ref 0 in
-  while !ok && !e < len do
-    let d = Abstract.event a !e in
-    let key = (d.Event.replica, d.Event.obj) in
-    (match Hashtbl.find_opt acc key with
-    | Some own -> if not (Bitset.is_subset own rows.(!e)) then ok := false
+  let key e =
+    let d = Abstract.event a e in
+    (d.Event.replica, d.Event.obj)
+  in
+  let own : (int * int, Bitset.t) Hashtbl.t = Hashtbl.create 16 in
+  let first = ref len in
+  for e = 0 to len - 1 do
+    let k = key e in
+    (match Hashtbl.find_opt own k with
+    | Some s ->
+      Option.iter
+        (fun w -> first := min !first w)
+        (Bitset.min_diff ~from:0 s (Abstract.vis_row a e))
     | None -> ());
-    if !ok && Op.is_update d.Event.op then begin
-      let own =
-        match Hashtbl.find_opt acc key with
-        | Some own -> own
-        | None ->
-          let own = Bitset.create len in
-          Hashtbl.add acc key own;
-          own
-      in
-      Bitset.set own !e
-    end;
-    incr e
+    if is_upd.(e) then begin
+      if not (Hashtbl.mem own k) then Hashtbl.add own k (Bitset.create len);
+      Bitset.set (Hashtbl.find own k) e
+    end
   done;
-  !ok
+  if !first = len then Ok ()
+  else
+    let w = !first in
+    let e, () =
+      first_from (w + 1) (fun e ->
+          if key e = key w && not (Abstract.vis a w e) then Some () else None)
+    in
+    Error (Printf.sprintf "own update %d invisible to later event %d" w e)
 
-let mr_holds a rows =
+(* MR: for [e], then later [e'] at [e]'s replica, then [w] in
+   [vis_preds e], [w] must stay visible to [e']. [e] fails iff its row is
+   not inside the intersection of its replica's later rows, which a
+   backward pass keeps per replica; the last failure it meets is the
+   least [e]. *)
+let monotonic_reads a =
   let len = Abstract.length a in
-  let last : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let ok = ref true in
-  let e = ref 0 in
-  while !ok && !e < len do
-    let d = Abstract.event a !e in
-    (match Hashtbl.find_opt last d.Event.replica with
-    | Some p -> if not (Bitset.is_subset rows.(p) rows.(!e)) then ok := false
-    | None -> ());
-    Hashtbl.replace last d.Event.replica !e;
-    incr e
+  let rep e = (Abstract.event a e).Event.replica in
+  let later : (int, Bitset.t) Hashtbl.t = Hashtbl.create 8 in
+  let first = ref len in
+  for e = len - 1 downto 0 do
+    let row = Abstract.vis_row a e in
+    match Hashtbl.find_opt later (rep e) with
+    | Some s ->
+      if Bitset.min_diff ~from:0 row s <> None then first := e;
+      Bitset.inter_into ~dst:s row
+    | None -> Hashtbl.add later (rep e) (Bitset.copy row)
   done;
-  !ok
+  if !first = len then Ok ()
+  else
+    let e = !first in
+    let row = Abstract.vis_row a e in
+    let e', w =
+      first_from (e + 1) (fun e' ->
+          if rep e' <> rep e then None
+          else Bitset.min_diff ~from:0 row (Abstract.vis_row a e'))
+    in
+    Error (Printf.sprintf "update %d visible to %d but not to later %d" w e e')
 
-let mw_holds a seen =
+(* MW: for update [w], then an earlier update [w'] of [w]'s issuer, then
+   [e > w], [w] visible to [e] must imply [w'] visible to [e]: [seen(w)]
+   above [w] inside [seen(w')]. Testing only each update against its
+   issuer's previous one finds the same least [w]: if every such test up
+   to [w] passes, [seen(w)] above [w] lies in [seen(w')] above [w'] for
+   each earlier [w'] in turn, and a failing test is itself a violation.
+   Then the least [w'], and the least [e] of its difference. *)
+let monotonic_writes a is_upd seen =
   let len = Abstract.length a in
-  let last_upd : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let ok = ref true in
-  let w = ref 0 in
-  while !ok && !w < len do
-    let d = Abstract.event a !w in
-    if Op.is_update d.Event.op then begin
-      (match Hashtbl.find_opt last_upd d.Event.replica with
-      | Some w' -> if not (Bitset.is_subset seen.(!w) seen.(w')) then ok := false
-      | None -> ());
-      Hashtbl.replace last_upd d.Event.replica !w
-    end;
-    incr w
-  done;
-  !ok
+  let rep e = (Abstract.event a e).Event.replica in
+  let prev : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  let rec find w =
+    if w >= len then Ok ()
+    else if not is_upd.(w) then find (w + 1)
+    else
+      let p = Hashtbl.find_opt prev (rep w) in
+      Hashtbl.replace prev (rep w) w;
+      match p with
+      | Some p when Bitset.min_diff ~from:(w + 1) seen.(w) seen.(p) <> None ->
+        let w', e =
+          first_from 0 (fun w' ->
+              if is_upd.(w') && rep w' = rep w then
+                Bitset.min_diff ~from:(w + 1) seen.(w) seen.(w')
+              else None)
+        in
+        Error
+          (Printf.sprintf
+             "update %d visible to %d without the issuer's earlier update %d" w e w')
+      | Some _ | None -> find (w + 1)
+  in
+  find 0
 
-let wfr_holds a rows seen =
-  let len = Abstract.length a in
-  let is_upd = Array.init len (fun i -> Op.is_update (Abstract.event a i).Event.op) in
-  let exception Bad in
+(* WFR: for update [w], then update [w'] in [vis_preds w], then [e > w],
+   [w] visible to [e] must imply [w'] visible to [e]. One subset test per
+   (w, w') pair in that order; the first failing pair's difference above
+   [w] gives the least [e]. *)
+let writes_follow_reads a is_upd seen =
+  let exception Found of int * int * int in
   try
-    for w = 0 to len - 1 do
+    for w = 0 to Abstract.length a - 1 do
       if is_upd.(w) then
-        Bitset.iter rows.(w) (fun w' ->
-            if is_upd.(w') && not (Bitset.is_subset seen.(w) seen.(w')) then raise Bad)
+        Bitset.iter (Abstract.vis_row a w) (fun w' ->
+            if is_upd.(w') then
+              match Bitset.min_diff ~from:(w + 1) seen.(w) seen.(w') with
+              | Some e -> raise_notrace (Found (w, e, w'))
+              | None -> ())
     done;
-    true
-  with Bad -> false
+    Ok ()
+  with Found (w, e, w') ->
+    Error
+      (Printf.sprintf "update %d visible to %d without its observed predecessor %d" w e w')
 
 let check a =
-  let rows = build_rows a in
-  let seen = build_seen rows in
-  let guard fast reference = if fast () then Ok () else reference a in
+  let is_upd =
+    Array.init (Abstract.length a) (fun i -> Op.is_update (Abstract.event a i).Event.op)
+  in
+  let seen = build_seen a in
   {
-    read_your_writes = guard (fun () -> ryw_holds a rows) check_read_your_writes_reference;
-    monotonic_reads = guard (fun () -> mr_holds a rows) check_monotonic_reads_reference;
-    monotonic_writes = guard (fun () -> mw_holds a seen) check_monotonic_writes_reference;
-    writes_follow_reads =
-      guard (fun () -> wfr_holds a rows seen) check_writes_follow_reads_reference;
+    read_your_writes = read_your_writes a is_upd;
+    monotonic_reads = monotonic_reads a;
+    monotonic_writes = monotonic_writes a is_upd seen;
+    writes_follow_reads = writes_follow_reads a is_upd seen;
   }
 
 let entries r =

@@ -33,14 +33,11 @@ type report = {
 }
 
 val check : Abstract.t -> report
-(** Evaluates the guarantees by word-parallel subset tests over visibility
-    rows and their transpose; any reported violation is re-derived (with
-    the same witness message) by the reference scan. *)
-
-val check_reference : Abstract.t -> report
-(** The frozen quantifier-literal implementation, kept as the oracle for
-    randomized equivalence testing of {!check}; never use it on large
-    executions. *)
+(** Evaluates each guarantee in one pass of word-parallel row tests over
+    the visibility rows and their transpose. A violated guarantee reports
+    its first violation in the order of its definition's quantifiers (for
+    read-your-writes the least update, then the least later event), with
+    the indices of that violation in the message. *)
 
 val all_hold : report -> bool
 

@@ -166,13 +166,6 @@ let iter_context t e f =
     i := t.obj_prev.(!i)
   done
 
-let context t e =
-  let members = ref [] in
-  iter_context t e (fun i -> members := i :: !members);
-  let idx = Array.of_list (!members @ [ e ]) in
-  let sub = restrict t idx in
-  (sub, Array.length idx - 1)
-
 let is_transitive t =
   let len = Array.length t.h in
   let ok = ref true in
@@ -192,16 +185,6 @@ let transitive_closure t =
     Bitset.iter t.rows.(j) (fun i -> Bitset.union_into ~dst:rows.(j) rows.(i))
   done;
   { t with rows }
-
-let add_vis t pairs =
-  let existing = vis_pairs t in
-  create ~n:t.n t.h ~vis:(existing @ pairs)
-
-let writes_visible_to t j =
-  let o = t.h.(j).Event.obj in
-  List.filter
-    (fun i -> t.h.(i).Event.obj = o && Op.is_update t.h.(i).Event.op)
-    (vis_preds t j)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";

@@ -64,22 +64,10 @@ val iter_context : t -> int -> (int -> unit) -> unit
     order. It walks [e]'s object chain, so it costs one bit test per
     earlier event on that object and builds nothing. *)
 
-val context : t -> int -> t * int
-(** [context a e] is the operation context [ctxt(A, e)] of Definition 7 —
-    an abstract execution over the events of [V_e] — together with the
-    index of [e] inside it ([e] is always its last event). The checkers
-    evaluate specifications over {!iter_context} and the rows instead. *)
-
 val is_transitive : t -> bool
 (** Causal consistency of the visibility relation (Definition 12). *)
 
 val transitive_closure : t -> t
 (** Same [H], vis replaced by its transitive closure. *)
-
-val add_vis : t -> (int * int) list -> t
-(** A copy with additional visibility edges (re-validated). *)
-
-val writes_visible_to : t -> int -> int list
-(** Indices of update events on the same object visible to event [j]. *)
 
 val pp : Format.formatter -> t -> unit

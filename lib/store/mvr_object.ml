@@ -34,8 +34,6 @@ let read t = List.sort_uniq Value.compare (List.map (fun s -> s.value) t.sibs)
 
 let siblings t = t.sibs
 
-let causal_context t = t.cc
-
 let visible_dots t =
   let acc = ref [] in
   for r = 0 to t.n - 1 do

@@ -38,8 +38,6 @@ val read : t -> Value.t list
 
 val siblings : t -> update list
 
-val causal_context : t -> Vclock.t
-
 val visible_dots : t -> Dot.t list
 (** All write dots covered by the causal context: the object-level
     visibility witness. *)

@@ -140,6 +140,21 @@ let min_elt t =
     let x = t.words.(!w) in
     Some ((!w * 63) + bit_index (x land -x))
 
+(* The walk starts at [from]'s word, with the bits below [from] masked
+   off, and stops at the first word of [a] with a bit [b] lacks. *)
+let min_diff ~from a b =
+  if a.cap <> b.cap then invalid_arg "Bitset.min_diff: capacity mismatch";
+  if from < 0 then invalid_arg "Bitset.min_diff: negative start";
+  if from >= a.cap then None
+  else
+    let n = Array.length a.words and w = ref (from / 63) in
+    let x = ref (a.words.(!w) land lnot b.words.(!w) land (-1 lsl (from mod 63))) in
+    while !x = 0 && !w < n - 1 do
+      incr w;
+      x := a.words.(!w) land lnot b.words.(!w)
+    done;
+    if !x = 0 then None else Some ((!w * 63) + bit_index (!x land - !x))
+
 let iter t f =
   for w = 0 to Array.length t.words - 1 do
     let x = ref t.words.(w) in

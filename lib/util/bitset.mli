@@ -57,6 +57,11 @@ val is_empty : t -> bool
 val min_elt : t -> int option
 (** Smallest element, if any. *)
 
+val min_diff : from:int -> t -> t -> int option
+(** [min_diff ~from a b] is the smallest element [i >= from] of [a] that
+    is not in [b], if any, word-parallel and without building [a \ b].
+    Requires equal capacities and [from >= 0]. *)
+
 val iter : t -> (int -> unit) -> unit
 (** Calls the function on each set bit, ascending. The walk jumps from one
     set bit to the next, so its cost follows the cardinal, not the

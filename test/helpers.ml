@@ -45,3 +45,22 @@ let tc name f = Alcotest.test_case name `Quick f
 let check_ok name = function
   | Ok () -> ()
   | Error m -> Alcotest.failf "%s: %s" name m
+
+(* The operation context [ctxt(A, e)] of Definition 7 as an abstract
+   execution of its own: the events on [e]'s object visible to [e], then
+   [e] itself (always last), with visibility restricted to them. The
+   checkers never build it; the tests use it as the literal reading of
+   the definition. *)
+let context a e =
+  let members = ref [ e ] in
+  Abstract.iter_context a e (fun i -> members := i :: !members);
+  let idx = Array.of_list !members in
+  let m = Array.length idx in
+  let vis = ref [] in
+  for j = 0 to m - 1 do
+    for i = 0 to m - 1 do
+      if Abstract.vis a idx.(i) idx.(j) then vis := (i, j) :: !vis
+    done
+  done;
+  let h = Array.map (Abstract.event a) idx in
+  (Abstract.create_unchecked ~n:(Abstract.n_replicas a) h ~vis:!vis, m - 1)

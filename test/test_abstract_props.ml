@@ -69,7 +69,7 @@ let prop_context_shape =
       let a = random_ae seed in
       let ok = ref true in
       for e = 0 to A.length a - 1 do
-        let ctx, target = A.context a e in
+        let ctx, target = context a e in
         let de = A.event a e in
         if target <> A.length ctx - 1 then ok := false;
         for i = 0 to A.length ctx - 1 do

@@ -2,7 +2,7 @@
    context-materialising forms.
 
    [Oracle] holds the earlier implementations: a specification is
-   evaluated on the sub-execution [Abstract.context] builds for each
+   evaluated on the sub-execution [Helpers.context] builds for each
    event, with nested scans over the context's members, and the OCC
    check rescans all of H for every returned value and re-tests
    condition 4 over every update inside its nested witness search. The
@@ -78,7 +78,7 @@ module Oracle = struct
     | other -> invalid_arg ("no oracle for spec " ^ other)
 
   let response_in spec a e =
-    let ctx, target = A.context a e in
+    let ctx, target = context a e in
     match (A.event ctx target).Event.op with
     | Op.Read -> read_fn spec ctx target
     | Op.Write _ | Op.Add _ | Op.Remove _ -> Op.Ok

@@ -50,7 +50,7 @@ let test_context () =
       [| w_ 0 0 1; w_ 0 1 7; w_ 1 0 2; rd_ 1 0 [ 1; 2 ] |]
       ~vis:[ (0, 3); (1, 3) ]
   in
-  let ctx, target = A.context a 3 in
+  let ctx, target = context a 3 in
   Alcotest.(check int) "context size" 3 (A.length ctx);
   Alcotest.(check int) "target last" 2 target;
   (* the y-write is filtered although visible *)

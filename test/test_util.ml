@@ -252,7 +252,12 @@ let prop_bitset_model =
       && Bitset.is_subset_masked ~mask:m a b
          = List.for_all (fun i -> (not (mem ms i)) || mem lb i) la
       && Bitset.find_first a (fun i -> i mod 3 = 1)
-         = List.find_opt (fun i -> i mod 3 = 1) la)
+         = List.find_opt (fun i -> i mod 3 = 1) la
+      && List.for_all
+           (fun from ->
+             Bitset.min_diff ~from a b
+             = List.find_opt (fun i -> i >= from && not (mem lb i)) la)
+           (List.init (cap + 2) Fun.id))
 
 (* ---------- Sorted_list ---------- *)
 
