@@ -179,15 +179,24 @@ let bench_session =
    checkers read its transitive closure, as [Sim.Checks.validate] does.
    The 60-op and planted samples above are too small to show how the
    correctness and OCC checks scale. *)
-let audit_scale_witness =
+let audit_scale_steps =
+  Sim.Workload.generate ~rng:(Util.Rng.create 21) ~n:4 ~objects:8 ~ops:1000
+    Sim.Workload.register_mix
+
+(* the simulated history itself, with its witness recorded and assembled:
+   the simulator layer of the [audit] workload *)
+let audit_scale_history () =
   let module R = Sim.Runner.Make (Store.Causal_mvr_store) in
-  let rng = Util.Rng.create 21 in
   let sim = R.create ~seed:21 ~n:4 ~policy:(Sim.Net_policy.random_delay ()) () in
-  let steps = Sim.Workload.generate ~rng ~n:4 ~objects:8 ~ops:1000 Sim.Workload.register_mix in
   Sim.Workload.run (fun ~replica ~obj op -> R.op sim ~replica ~obj op)
-    ~advance:(R.advance_to sim) steps;
+    ~advance:(R.advance_to sim) audit_scale_steps;
   R.run_until_quiescent sim;
   R.witness_abstract sim
+
+let audit_scale_witness = audit_scale_history ()
+
+let bench_audit_history =
+  Test.make ~name:"sim/audit-history-1000" (Staged.stage audit_scale_history)
 
 let audit_scale_closed = Spec.Abstract.transitive_closure audit_scale_witness
 
@@ -274,8 +283,9 @@ let tests =
    where per-batch noise dominates a short quota, and trace-decode
    (~20us/run over a 150-op execution) fit with r^2 0.44 at the default
    budget. They get a group with a larger trial/time budget of their
-   own. The audit-scale checker rows (about a millisecond per run) join
-   them for the same reason. *)
+   own. The audit-scale rows (the checkers at about a millisecond per run,
+   the simulated history itself at tens of milliseconds) join them for the
+   same reason. *)
 let tests_mid =
   Test.make_grouped ~name:"haec"
     [
@@ -285,6 +295,7 @@ let tests_mid =
       bench_spec_check_audit;
       bench_occ_check_audit;
       bench_session_late;
+      bench_audit_history;
     ]
 
 (* Sub-100ns operations need far more samples before the OLS slope is
@@ -462,12 +473,29 @@ let live_json ~quick =
       (run_faulted ~n:2 (fun c -> { c with Live.Cluster.faults = Some crash_plan }));
   ]
 
+(* Words allocated on the minor heap. Bechamel's own [minor_allocated]
+   reads [Gc.quick_stat], whose [minor_words] only advances at a minor
+   collection on OCaml 5, so a run that stays inside the minor heap read
+   0; [Gc.minor_words] counts the current allocation pointer too. *)
+module Minor_words = struct
+  type witness = unit
+
+  let make () = ()
+  let load () = ()
+  let unload () = ()
+  let get () = Gc.minor_words ()
+  let label () = "minor-words"
+  let unit () = "mnw"
+end
+
+let minor_words = Measure.instance (module Minor_words) (Measure.register (module Minor_words))
+
 let run_micro ~quick ~live () =
   print_newline ();
   print_endline "Microbenchmarks (Bechamel, monotonic clock)";
   print_endline "===========================================";
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = Instance.[ monotonic_clock; minor_allocated ] in
+  let instances = [ Instance.monotonic_clock; minor_words ] in
   let cfg =
     if quick then Benchmark.cfg ~limit:300 ~quota:(Time.second 0.05) ~kde:None ()
     else Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None ()
@@ -502,7 +530,7 @@ let run_micro ~quick ~live () =
     tbl
   in
   let results = merged (Analyze.all ols Instance.monotonic_clock) in
-  let allocs = merged (Analyze.all ols Instance.minor_allocated) in
+  let allocs = merged (Analyze.all ols minor_words) in
   let estimate tbl name =
     match Hashtbl.find_opt tbl name with
     | Some ols -> (

@@ -8,14 +8,21 @@
 
     The guarantees are evaluated per replica ("session" = one replica's
     sequence of operations, matching the paper's model where clients talk
-    to one replica). *)
+    to one replica).
+
+    Read-your-writes and monotonic reads are Definition 4 conditions
+    (1)–(2), which {!Abstract.create_unchecked} builds into every
+    abstract execution: each event's row holds its replica's previous
+    event and that event's row. On an [Abstract.t] the two checks
+    therefore always pass, which is why E13's RYW and MR columns cannot
+    fail; they stay as checks of that construction. *)
 
 open Haec_spec
 
 type report = {
   read_your_writes : (unit, string) result;
       (** every update by a replica is visible to its own later same-object
-          operations *)
+          operations (implied by Definition 4 condition 1) *)
   monotonic_reads : (unit, string) result;
       (** updates visible to an operation stay visible to later operations
           at the same replica (Definition 4 condition 2 makes this

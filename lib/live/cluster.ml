@@ -113,7 +113,7 @@ let merge ~n logs =
   let sent = Hashtbl.create 1024 in
   let total = Array.fold_left (fun a evs -> a + Array.length evs) 0 per in
   let events_rev = ref [] in
-  let witness = Node.Witness.create () in
+  let witness = Node.Witness.create ~n in
   for _ = 1 to total do
     let best = ref (-1) in
     let best_at = ref infinity in
@@ -149,7 +149,7 @@ let merge ~n logs =
     | _ -> ());
     events_rev := te.ev :: !events_rev
   done;
-  (Execution.of_list ~n (List.rev !events_rev), Node.Witness.abstract witness ~n)
+  (Execution.of_list ~n (List.rev !events_rev), Node.Witness.abstract witness)
 
 module Make (S : Haec_store.Stack.S) = struct
   module N = Node.Make (S)

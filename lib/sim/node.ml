@@ -1,5 +1,6 @@
 open Haec_model
 open Haec_spec
+open Haec_vclock
 module Store_intf = Haec_store.Store_intf
 
 module Log = struct
@@ -31,34 +32,159 @@ module Log = struct
 end
 
 module Witness = struct
-  type t = {
-    pos : (int * Haec_vclock.Dot.t, int) Hashtbl.t;  (* (obj, dot) -> do index *)
-    mutable h_rev : Event.do_event list;
-    mutable count : int;
-    mutable vis : (int * int) list;
+  module Int_set = Set.Make (Int)
+
+  (* One object's updates: who issued each dot, and how far each
+     observer replica has resolved them. [upto] and [ahead] are indexed
+     by [observer * n + origin]. *)
+  type obj_index = {
+    issued : int array array;
+        (* origin -> seq -> H index of the update carrying that dot, -1 if
+           none yet; grown by doubling *)
+    top : int array;  (* origin -> highest seq issued on this object *)
+    upto : int array;
+        (* every seq up to here is seen by the observer, or one its origin
+           issued past without issuing it on this object *)
+    ahead : Int_set.t array;  (* seen seqs beyond [upto] *)
   }
 
-  let create () = { pos = Hashtbl.create 64; h_rev = []; count = 0; vis = [] }
+  type t = {
+    n : int;
+    objs : (int, obj_index) Hashtbl.t;
+    mutable h_rev : Event.do_event list;
+    mutable count : int;
+    mutable vis : (int * int) list;  (* each (update, observer replica) pair once *)
+  }
 
-  let find t key = Hashtbl.find_opt t.pos key
+  let create ~n = { n; objs = Hashtbl.create 16; h_rev = []; count = 0; vis = [] }
 
-  (* the do event's visible dots resolve against the self dots of the do
-     events added before it, so every vis edge respects H order *)
-  let add t (d : Event.do_event) wit =
+  let index t obj =
+    match Hashtbl.find_opt t.objs obj with
+    | Some x -> x
+    | None ->
+      let x =
+        {
+          issued = Array.make t.n [||];
+          top = Array.make t.n 0;
+          upto = Array.make (t.n * t.n) 0;
+          ahead = Array.make (t.n * t.n) Int_set.empty;
+        }
+      in
+      Hashtbl.add t.objs obj x;
+      x
+
+  let issuer x origin seq =
+    let a = x.issued.(origin) in
+    if seq > 0 && seq < Array.length a then a.(seq) else -1
+
+  let issue x origin seq j =
+    let a = x.issued.(origin) in
+    let a =
+      if seq < Array.length a then a
+      else begin
+        let b = Array.make (max (seq + 1) (2 * Array.length a)) (-1) in
+        Array.blit a 0 b 0 (Array.length a);
+        x.issued.(origin) <- b;
+        b
+      end
+    in
+    a.(seq) <- j;
+    if seq > x.top.(origin) then x.top.(origin) <- seq
+
+  let unseen x k seq = seq > x.upto.(k) && not (Int_set.mem seq x.ahead.(k))
+
+  (* Observer cursor [k] has seen [seq]: move [upto] over every seq seen
+     or skipped. Origins issue their dots on an object in increasing seq
+     order, so a seq below [top] that is not issued here never will be. *)
+  let mark x k origin seq =
+    if seq = x.upto.(k) + 1 then x.upto.(k) <- seq
+    else x.ahead.(k) <- Int_set.add seq x.ahead.(k);
+    let rec advance () =
+      let next = x.upto.(k) + 1 in
+      if Int_set.mem next x.ahead.(k) then begin
+        x.ahead.(k) <- Int_set.remove next x.ahead.(k);
+        x.upto.(k) <- next;
+        advance ()
+      end
+      else if next < x.top.(origin) && issuer x origin next < 0 then begin
+        x.upto.(k) <- next;
+        advance ()
+      end
+    in
+    advance ()
+
+  (* The do event's frontiers resolve against the self dots of the do
+     events added before it, so every vis edge respects H order. Only the
+     part of each frontier its replica has not seen yet is resolved; a dot
+     that does not resolve yet stays unseen, to be retried. *)
+  let add ?(on_new = fun _ ~obj:_ -> ()) t (d : Event.do_event) wit =
     let j = t.count in
     (match wit with
     | None -> ()
-    | Some w ->
+    | Some (w : Store_intf.witness) ->
+      let base = d.Event.replica * t.n in
+      let fresh ~obj i =
+        t.vis <- (i, j) :: t.vis;
+        on_new i ~obj
+      in
       List.iter
-        (fun key ->
-          match find t key with Some i -> t.vis <- (i, j) :: t.vis | None -> ())
+        (fun (f : Store_intf.frontier) ->
+          let obj = f.Store_intf.obj in
+          let x = index t obj in
+          Option.iter
+            (fun cc ->
+              for origin = 0 to min t.n (Vclock.size cc) - 1 do
+                let k = base + origin in
+                for seq = x.upto.(k) + 1 to Vclock.get cc origin do
+                  if unseen x k seq then begin
+                    let i = issuer x origin seq in
+                    if i >= 0 then begin
+                      mark x k origin seq;
+                      fresh ~obj i
+                    end
+                  end
+                done
+              done)
+            f.Store_intf.prefix;
+          (* exceptions are scanned ascending per origin from its cursor
+             and reported descending *)
+          let rec scan origin found =
+            match
+              Dot.Set.find_first_opt
+                (fun (dot : Dot.t) -> dot.replica >= origin)
+                f.Store_intf.exceptions
+            with
+            | Some { replica; _ } when replica < t.n ->
+              let k = base + replica in
+              let found =
+                Seq.fold_left
+                  (fun found (dot : Dot.t) ->
+                    let i = issuer x replica dot.seq in
+                    if i >= 0 && unseen x k dot.seq then begin
+                      mark x k replica dot.seq;
+                      i :: found
+                    end
+                    else found)
+                  found
+                  (Seq.take_while
+                     (fun (dot : Dot.t) -> dot.replica = replica)
+                     (Dot.Set.to_seq_from
+                        (Dot.make ~replica ~seq:(x.upto.(k) + 1))
+                        f.Store_intf.exceptions))
+              in
+              scan (replica + 1) found
+            | Some _ | None -> found
+          in
+          List.iter (fresh ~obj) (scan 0 []))
         w.Store_intf.visible;
-      Option.iter (fun dot -> Hashtbl.replace t.pos (d.Event.obj, dot) j) w.Store_intf.self);
+      Option.iter
+        (fun (dot : Dot.t) -> issue (index t d.Event.obj) dot.replica dot.seq j)
+        w.Store_intf.self);
     t.h_rev <- d :: t.h_rev;
     t.count <- j + 1;
     j
 
-  let abstract t ~n = Abstract.create ~n (Array.of_list (List.rev t.h_rev)) ~vis:t.vis
+  let abstract t = Abstract.create ~n:t.n (Array.of_list (List.rev t.h_rev)) ~vis:t.vis
 end
 
 module Make (S : Store_intf.S) = struct

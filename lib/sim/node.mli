@@ -57,25 +57,38 @@ module Log : sig
   (** The most recent message the given replica sent. *)
 end
 
-(** The witness abstract execution, assembled one [do] event at a time:
-    each event's visible [(obj, dot)] pairs resolve against the self dots
-    of the events added before it, giving vis edges that respect H order
-    by construction. The runner feeds it as operations happen (its lag
-    histogram resolves visible dots at op time); the live cluster feeds it
-    while merging its per-node logs. *)
+(** The witness abstract execution, assembled one [do] event at a time.
+    Self dots are indexed by [(obj, origin)] in seq-indexed arrays, and
+    each replica keeps a cumulative frontier of the updates it has seen.
+    A do event resolves only the part of its witness's frontiers that its
+    replica has not seen yet, against the self dots of the events added
+    before it, so each (update, observer replica) pair is resolved once
+    and every vis edge respects H order. A dot that does not resolve yet
+    stays unseen and is retried at the replica's next do event. Only these
+    new pairs become vis edges; {!Abstract.create} closes each event's row
+    under its replica's previous row (Definition 4 (1)–(2)), which
+    supplies the rest. The runner feeds it as operations happen and reads
+    its visibility lag off the new pairs; the live cluster feeds it while
+    merging its per-node logs. *)
 module Witness : sig
   type t
 
-  val create : unit -> t
+  val create : n:int -> t
+  (** An empty witness over replicas [0 .. n-1]. *)
 
-  val add : t -> Event.do_event -> Haec_store.Store_intf.witness option -> int
+  val add :
+    ?on_new:(int -> obj:int -> unit) ->
+    t ->
+    Event.do_event ->
+    Haec_store.Store_intf.witness option ->
+    int
   (** Append a do event (with its witness, if captured) to H; returns its
-      index in H. *)
+      index in H. Before appending, [on_new i ~obj] is called for each
+      update [i] on [obj] that becomes visible to the event's replica for
+      the first time, in the enumeration order of
+      {!Haec_store.Store_intf.witness}. *)
 
-  val find : t -> int * Haec_vclock.Dot.t -> int option
-  (** The H index of the update that carries this [(obj, dot)]. *)
-
-  val abstract : t -> n:int -> Abstract.t
+  val abstract : t -> Abstract.t
   (** [(H, vis)] over the events added so far. *)
 end
 

@@ -84,10 +84,8 @@ module Make (S : Haec_store.Store_intf.S) = struct
     payload_hist : Obs.Histogram.t;  (* bytes per sent payload *)
     fanout_hist : Obs.Histogram.t;  (* deliveries scheduled per send *)
     mutable s_duplicates : int;
-    (* visibility-lag telemetry: when did each do event happen, and which
-       (update, observer) pairs have already been witnessed *)
+    (* visibility-lag telemetry: when did each do event happen *)
     do_info : (int, float * int) Hashtbl.t;  (* do index -> (time, replica) *)
-    first_seen : (int * int, unit) Hashtbl.t;  (* (do index, observer) *)
     lag_hist : Obs.Histogram.t;
     (* span tracing: the per-op lifecycle decomposition of visibility lag
        (see {!Haec_obs.Span}). All bookkeeping is keyed on sim-time data
@@ -149,7 +147,7 @@ module Make (S : Haec_store.Store_intf.S) = struct
       dirty = Array.make n false;
       nodes = Array.init n (fun me -> N.create ?recover ~n ~me ());
       log = Node.Log.create ~witnesses:record_witness ();
-      witness = Node.Witness.create ();
+      witness = Node.Witness.create ~n;
       lost_rev = [];
       queue = Pqueue.create ();
       now_ = 0.0;
@@ -170,7 +168,6 @@ module Make (S : Haec_store.Store_intf.S) = struct
       fanout_hist = Obs.Histogram.create ();
       s_duplicates = 0;
       do_info = Hashtbl.create 64;
-      first_seen = Hashtbl.create 256;
       lag_hist = Obs.Histogram.create ();
       record_spans = record_spans && record_witness;
       spans_rev = [];
@@ -518,33 +515,26 @@ module Make (S : Haec_store.Store_intf.S) = struct
     let rval, witness = N.op t.nodes.(replica) t.log ~at:t.now_ ~obj o in
     (match witness with
     | None -> ()
-    | Some w ->
+    | Some _ ->
       (* visibility lag: the first time this replica witnesses an update
          that originated elsewhere, record how long it was in flight in
          simulated time (staleness, Definition 17's "eventually visible"
          made quantitative) *)
-      List.iter
-        (fun key ->
-          match Node.Witness.find t.witness key with
-          | Some i -> (
-            match Hashtbl.find_opt t.do_info i with
-            | Some (t0, origin) when origin <> replica ->
-              if not (Hashtbl.mem t.first_seen (i, replica)) then begin
-                Hashtbl.add t.first_seen (i, replica) ();
-                if t.record_spans then begin
-                  (* the measured lag is defined as the breakdown's
-                     component sum (see {!Haec_obs.Span.breakdown}), so
-                     attribution is exact by construction *)
-                  let v = assemble_visible t ~op:i ~origin ~obj:(fst key) ~observer:replica ~issue:t0 in
-                  span t (Haec_obs.Span.Visible v);
-                  Obs.Histogram.observe t.lag_hist (Haec_obs.Span.breakdown v).total
-                end
-                else Obs.Histogram.observe t.lag_hist (t.now_ -. t0)
-              end
-            | Some _ | None -> ())
-          | None -> ())
-        w.Haec_store.Store_intf.visible;
-      let j = Node.Witness.add t.witness { Event.replica; obj; op = o; rval } witness in
+      let on_new i ~obj =
+        match Hashtbl.find_opt t.do_info i with
+        | Some (t0, origin) when origin <> replica ->
+          if t.record_spans then begin
+            (* the measured lag is defined as the breakdown's component
+               sum (see {!Haec_obs.Span.breakdown}), so attribution is
+               exact by construction *)
+            let v = assemble_visible t ~op:i ~origin ~obj ~observer:replica ~issue:t0 in
+            span t (Haec_obs.Span.Visible v);
+            Obs.Histogram.observe t.lag_hist (Haec_obs.Span.breakdown v).total
+          end
+          else Obs.Histogram.observe t.lag_hist (t.now_ -. t0)
+        | Some _ | None -> ()
+      in
+      let j = Node.Witness.add ~on_new t.witness { Event.replica; obj; op = o; rval } witness in
       Hashtbl.replace t.do_info j (t.now_, replica);
       if t.record_spans && Op.is_update o then
         t.unsent_ops.(replica) <- (j, obj) :: t.unsent_ops.(replica));
@@ -920,6 +910,8 @@ module Make (S : Haec_store.Store_intf.S) = struct
     Execution.of_list ~n:t.n ~initial:(Membership.initial t.membership)
       (Node.Log.events t.log)
 
+  let log t = t.log
+
   let messages_sent t =
     List.filter_map
       (function Event.Send { msg; _ } -> Some msg | _ -> None)
@@ -929,5 +921,5 @@ module Make (S : Haec_store.Store_intf.S) = struct
 
   let witness_abstract t =
     if not (Node.Log.witnesses t.log) then failwith "Runner.witness_abstract: recording disabled";
-    Node.Witness.abstract t.witness ~n:t.n
+    Node.Witness.abstract t.witness
   end

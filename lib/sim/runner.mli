@@ -274,6 +274,10 @@ module Make (S : Haec_store.Store_intf.S) : sig
 
   val execution : t -> Execution.t
 
+  val log : t -> Node.Log.t
+  (** Every node's events in execution order, each [do] with its witness
+      while witness recording is on. *)
+
   val messages_sent : t -> Message.t list
   (** In send order. *)
 

@@ -22,7 +22,13 @@ val create : n:int -> Event.do_event array -> vis:(int * int) list -> t
     validated and raises [Invalid_argument] if violated. *)
 
 val create_unchecked : n:int -> Event.do_event array -> vis:(int * int) list -> t
-(** Same closure, but skips the condition (3) validation. *)
+(** Same closure, but skips the condition (3) validation. Whatever the
+    edges, backward ones included, every event's row ends up holding the
+    previous event of its replica and that event's whole row: Definition 4
+    conditions (1)–(2) hold by construction. A caller may therefore pass,
+    for each event, only the edges its replica had not seen before — the
+    simulator's witness does exactly that — and read-your-writes and
+    monotonic reads ({!Haec_consistency.Session}) hold on every result. *)
 
 val check_valid : t -> (unit, string) result
 

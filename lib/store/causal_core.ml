@@ -218,12 +218,6 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
       go 0
     end
 
-  let visible_now t =
-    Int_map.fold
-      (fun obj o acc ->
-        List.fold_left (fun acc d -> (obj, d) :: acc) acc (Obj.visible_dots o))
-      t.objects []
-
   (* A local read advances the read counter and exposes the ripe prefix
      of the hidden queue, in delivery order. Ripen thresholds are
      non-decreasing along the queue (the countdown [K] is a constant), so
@@ -239,7 +233,7 @@ module Make (Obj : Object_layer.OBJECT) (P : POLICY) = struct
 
   let do_op t ~obj op =
     let t = if Op.is_read op && P.expose_after_reads > 0 then tick_hidden t else t in
-    let visible_before = lazy (visible_now t) in
+    let visible_before = lazy (Store_intf.frontiers t.objects Obj.frontier) in
     let now = t.clock + 1 in
     let o, rval, update = Obj.do_op (obj_state t obj) ~me:t.me ~now op in
     match update with

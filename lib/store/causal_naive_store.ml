@@ -102,14 +102,8 @@ let rec drain t =
   | None -> t
   | Some (r, buffer) -> drain (deliver { t with buffer } r)
 
-let visible_now t =
-  Int_map.fold
-    (fun obj o acc ->
-      List.fold_left (fun acc d -> (obj, d) :: acc) acc (Obj.visible_dots o))
-    t.objects []
-
 let do_op t ~obj op =
-  let visible_before = lazy (visible_now t) in
+  let visible_before = lazy (Store_intf.frontiers t.objects Obj.frontier) in
   let now = t.clock + 1 in
   let o, rval, update = Obj.do_op (obj_state t obj) ~me:t.me ~now op in
   match update with

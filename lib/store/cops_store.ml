@@ -79,12 +79,6 @@ let obj_state t obj =
   | Some o -> o
   | None -> Mvr_object.empty ~n:t.n
 
-let visible_now t =
-  Int_map.fold
-    (fun obj o acc ->
-      List.fold_left (fun acc d -> (obj, d) :: acc) acc (Mvr_object.visible_dots o))
-    t.objects []
-
 (* Apply an update to the object layer and fold it into the dependency
    frontier: the update subsumes its own dependencies, so they leave the
    context. Keeping only the frontier is what makes dependency lists
@@ -144,10 +138,12 @@ let do_op t ~obj op =
     (* reads change nothing (invisible reads): the dependency context
        already covers everything applied, folded in by [apply_obj] *)
     let o = obj_state t obj in
-    let witness = lazy { Store_intf.visible = visible_now t; self = None } in
+    let witness =
+      lazy { Store_intf.visible = Store_intf.frontiers t.objects Mvr_object.frontier; self = None }
+    in
     (t, Op.vals (Mvr_object.read o), witness)
   | Op.Write v ->
-    let visible_before = lazy (visible_now t) in
+    let visible_before = lazy (Store_intf.frontiers t.objects Mvr_object.frontier) in
     let o, u = Mvr_object.local_write (obj_state t obj) ~me:t.me v in
     let dot = Dot.make ~replica:t.me ~seq:t.next_seq in
     let r = { dot; obj; u; deps = t.ctx } in

@@ -31,19 +31,15 @@ let relayed_of t obj =
 let mark_relayed t obj dot =
   { t with relayed = Int_map.add obj (Dot.Set.add dot (relayed_of t obj)) t.relayed }
 
-let visible_now t =
-  Int_map.fold
-    (fun obj o acc ->
-      List.fold_left (fun acc d -> (obj, d) :: acc) acc (Mvr_object.visible_dots o))
-    t.objects []
-
 let do_op t ~obj op =
   match op with
   | Op.Read ->
-    let witness = lazy { Store_intf.visible = visible_now t; self = None } in
+    let witness =
+      lazy { Store_intf.visible = Store_intf.frontiers t.objects Mvr_object.frontier; self = None }
+    in
     (t, Op.vals (Mvr_object.read (obj_state t obj)), witness)
   | Op.Write v ->
-    let visible_before = lazy (visible_now t) in
+    let visible_before = lazy (Store_intf.frontiers t.objects Mvr_object.frontier) in
     let o, u = Mvr_object.local_write (obj_state t obj) ~me:t.me v in
     let t =
       {

@@ -153,13 +153,14 @@ let sequence t w =
    experiment asserts liveness/availability behaviour, not witness
    completeness. *)
 let witness_of t =
-  let confirmed_winners =
-    Int_map.fold (fun obj (_, w) acc -> (obj, dot_of w) :: acc) t.objects []
+  let add w s = Some (Dot.Set.add (dot_of w) (Option.value s ~default:Dot.Set.empty)) in
+  let dots =
+    Fqueue.fold
+      (fun acc w -> Int_map.update w.obj (add w) acc)
+      (Int_map.map (fun (_, w) -> Dot.Set.singleton (dot_of w)) t.objects)
+      t.unconfirmed
   in
-  let own =
-    List.rev (Fqueue.fold (fun acc w -> (w.obj, dot_of w) :: acc) [] t.unconfirmed)
-  in
-  confirmed_winners @ own
+  Store_intf.frontiers dots Store_intf.of_dots
 
 let do_op t ~obj op =
   match op with

@@ -56,20 +56,19 @@ let apply_entry o e =
       seen = Dot.Set.add e.dot o.seen;
     }
 
-let visible_now t =
-  Int_map.fold
-    (fun obj o acc -> Dot.Set.fold (fun d acc -> (obj, d) :: acc) o.seen acc)
-    t.objects []
+let frontier obj o = Store_intf.of_dots obj o.seen
 
 let do_op t ~obj op =
   match op with
   | Op.Read ->
     let o = obj_state t obj in
     let vals = match o.current with None -> [] | Some e -> [ e.value ] in
-    let witness = lazy { Store_intf.visible = visible_now t; self = None } in
+    let witness =
+      lazy { Store_intf.visible = Store_intf.frontiers t.objects frontier; self = None }
+    in
     (t, Op.vals vals, witness)
   | Op.Write v ->
-    let visible_before = lazy (visible_now t) in
+    let visible_before = lazy (Store_intf.frontiers t.objects frontier) in
     let clock = Lamport.tick t.clock in
     let dot = Dot.make ~replica:t.me ~seq:t.next_seq in
     let e = { ts = clock; dot; value = v } in

@@ -34,14 +34,7 @@ let read t = List.sort_uniq Value.compare (List.map (fun s -> s.value) t.sibs)
 
 let siblings t = t.sibs
 
-let visible_dots t =
-  let acc = ref [] in
-  for r = 0 to t.n - 1 do
-    for seq = 1 to Vclock.get t.cc r do
-      acc := Dot.make ~replica:r ~seq :: !acc
-    done
-  done;
-  !acc
+let frontier obj t = Store_intf.of_prefix obj t.cc
 
 (* The clock goes out in its smallest self-describing form (the raw
    layout when nothing smaller exists); [decode_update] reads any. *)

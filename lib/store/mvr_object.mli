@@ -7,8 +7,7 @@
     causally dominated ones are discarded. The dot of a write to this
     object by replica [r] is [(r, vv[r])]; the object's causal context [cc]
     (component-wise max of all applied version vectors) is dot-prefix
-    closed, which makes the visibility witness a simple prefix
-    enumeration. *)
+    closed, which makes it the visibility witness as it stands. *)
 
 open Haec_wire
 open Haec_vclock
@@ -38,9 +37,9 @@ val read : t -> Value.t list
 
 val siblings : t -> update list
 
-val visible_dots : t -> Dot.t list
-(** All write dots covered by the causal context: the object-level
-    visibility witness. *)
+val frontier : int -> t -> Store_intf.frontier
+(** [frontier obj t]: the write dots the causal context covers, as
+    object [obj]'s visibility witness. *)
 
 val encode_update : Wire.Encoder.t -> update -> unit
 

@@ -3,10 +3,10 @@
     LWW register, op-based counter, ...) and a delivery layer (eager
     {!Eager_core} or causally buffered {!Causal_core}).
 
-    Invariant required of [visible_dots]: under causally ordered
-    application of updates, the set is exactly the update events whose
-    effects (including being causally overwritten) the replica has
-    incorporated — the per-object visibility witness. *)
+    Invariant required of [frontier]: under causally ordered application
+    of updates, its dots are exactly the update events whose effects
+    (including being causally overwritten) the replica has incorporated —
+    the per-object visibility witness. *)
 
 open Haec_wire
 open Haec_vclock
@@ -61,7 +61,9 @@ module type OBJECT = sig
       clock to witness (Lamport's receive rule); 0 for layers that carry
       no timestamps. *)
 
-  val visible_dots : t -> Dot.t list
+  val frontier : int -> t -> Store_intf.frontier
+  (** [frontier obj t]: what [t] has incorporated, as object [obj]'s
+      frontier. *)
 
   val encode_update : Wire.Encoder.t -> update -> unit
 
@@ -92,7 +94,7 @@ module Mvr : OBJECT = struct
 
   let time_of _ = 0
 
-  let visible_dots = Mvr_object.visible_dots
+  let frontier = Mvr_object.frontier
 
   let encode_update = Mvr_object.encode_update
 
@@ -154,7 +156,7 @@ module Lww_register : OBJECT = struct
 
   let time_of e = e.ts.Lamport.time
 
-  let visible_dots t = Dot.Set.elements t.seen
+  let frontier obj t = Store_intf.of_dots obj t.seen
 
   let encode_update enc e =
     Lamport.encode enc e.ts;
@@ -241,7 +243,7 @@ module Orset : OBJECT = struct
 
   let time_of _ = 0
 
-  let visible_dots t = Dot.Set.elements t.known
+  let frontier obj t = Store_intf.of_dots obj t.known
 
   let encode_update enc = function
     | Uadd { dot; value } ->
@@ -314,7 +316,7 @@ module Pn_counter : OBJECT = struct
 
   let time_of _ = 0
 
-  let visible_dots t = Dot.Set.elements t.seen
+  let frontier obj t = Store_intf.of_dots obj t.seen
 
   let encode_update enc u =
     Dot.encode enc u.dot;

@@ -22,19 +22,15 @@ let obj_state t obj =
   | Some o -> o
   | None -> Mvr_object.empty ~n:t.n
 
-let visible_now t =
-  Int_map.fold
-    (fun obj o acc ->
-      List.fold_left (fun acc d -> (obj, d) :: acc) acc (Mvr_object.visible_dots o))
-    t.objects []
-
 let do_op t ~obj op =
   match op with
   | Op.Read ->
-    let witness = lazy { Store_intf.visible = visible_now t; self = None } in
+    let witness =
+      lazy { Store_intf.visible = Store_intf.frontiers t.objects Mvr_object.frontier; self = None }
+    in
     (t, Op.vals (Mvr_object.read (obj_state t obj)), witness)
   | Op.Write v ->
-    let visible_before = lazy (visible_now t) in
+    let visible_before = lazy (Store_intf.frontiers t.objects Mvr_object.frontier) in
     let o, u = Mvr_object.local_write (obj_state t obj) ~me:t.me v in
     let t = { t with objects = Int_map.add obj o t.objects; dirty = true } in
     let witness =

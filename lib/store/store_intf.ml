@@ -11,10 +11,14 @@
     the simulator assembles a witness abstract execution that the run
     complies with by construction. This sidesteps the (NP-hard) search for
     a complying abstract execution on large runs; the witness is then fed
-    to the correctness / causality / OCC / eventual-consistency checkers. *)
+    to the correctness / causality / OCC / eventual-consistency checkers.
+    The witness is a {!frontier} per object — the summary a replica
+    already keeps of what it has seen — so reporting it costs O(objects)
+    per operation, not O(history). *)
 
 open Haec_model
 open Haec_vclock
+module Int_map = Map.Make (Int)
 
 (** Instrumentation of delivery layers that buffer remote updates: how
     much work one replica's buffer did. Each replica allocates its own
@@ -125,15 +129,38 @@ let add_gossip_stats dst src =
   dst.digest_deltas <- dst.digest_deltas + src.digest_deltas;
   dst.digests_elided <- dst.digests_elided + src.digests_elided
 
+(** The updates of one object a replica has incorporated, as a dotted
+    version vector: every dot [(r, s)] with [s <= Vclock.get prefix r],
+    plus the [exceptions]. Dots are store-defined update identifiers,
+    unique per object; each origin issues its dots on an object in
+    increasing [seq] order. *)
+type frontier = {
+  obj : int;
+  prefix : Vclock.t option;  (** [None]: the empty prefix *)
+  exceptions : Dot.Set.t;  (** dots beyond the prefix *)
+}
+
 type witness = {
-  visible : (int * Dot.t) list;
-      (** [(obj, dot)] of every update visible to this operation. Dots are
-          store-defined update identifiers, unique per object. *)
+  visible : frontier list;
+      (** the updates visible to this operation, one frontier per object
+          the replica holds. Listed by descending object; a frontier's
+          dots enumerate prefix first (ascending), then exceptions
+          (descending): the order in which the simulator reports newly
+          visible updates. *)
   self : Dot.t option;
       (** the dot this store assigned to the operation, if it is an update *)
 }
 
 let empty_witness = { visible = []; self = None }
+
+let of_prefix obj cc = { obj; prefix = Some cc; exceptions = Dot.Set.empty }
+
+let of_dots obj dots = { obj; prefix = None; exceptions = dots }
+
+(** [frontiers objects f] is the [visible] field of a store whose
+    per-object states are [objects]: [f obj o] for each, by descending
+    object. *)
+let frontiers objects f = Int_map.fold (fun obj o acc -> f obj o :: acc) objects []
 
 module type S = sig
   type state
@@ -151,9 +178,8 @@ module type S = sig
   (** Initial state of replica [me] out of [n]. *)
 
   val do_op : state -> obj:int -> Op.t -> state * Op.response * witness Lazy.t
-  (** The witness is lazy because enumerating visible dots is the most
-      expensive part of an operation; large benchmark runs that do not
-      check consistency never force it. *)
+  (** The witness is lazy: large benchmark runs that do not check
+      consistency never force it. *)
 
   val has_pending : state -> bool
   (** Whether a send event is enabled ("has a message pending"). *)

@@ -165,6 +165,41 @@ let soak_theorem12_large () =
   let run = T12.run_random (Rng.create 4242) ~n:12 ~s:11 ~k:256 in
   Alcotest.(check bool) "large decode ok" true run.T12.ok
 
+(* Definition 4 conditions (1)-(2) hold by construction: on any vis
+   list, backward edges included, each row of [create_unchecked] holds
+   the previous event of its replica and that event's whole row, so
+   read-your-writes and monotonic reads cannot fail. The simulator's
+   witness passes only the edges new at each event and relies on this. *)
+let prop_unchecked_closed =
+  q ~count:300 "create_unchecked: rows inherit the replica's previous row; RYW, MR hold"
+    seed_gen (fun seed ->
+      let rng = Rng.create seed in
+      let n = Rng.int_in rng 2 4 and len = Rng.int_in rng 2 30 in
+      let h =
+        Array.init len (fun k ->
+            let replica = Rng.int rng n and obj = Rng.int rng 3 in
+            if Rng.bool rng then w_ replica obj k else rd_ replica obj [])
+      in
+      let vis =
+        List.filter
+          (fun (i, j) -> i <> j)
+          (List.init (Rng.int rng (3 * len)) (fun _ -> (Rng.int rng len, Rng.int rng len)))
+      in
+      let a = A.create_unchecked ~n h ~vis in
+      let prev = Array.make n (-1) in
+      let inherits = ref true in
+      Array.iteri
+        (fun j (d : Event.do_event) ->
+          let i = prev.(d.Event.replica) in
+          if i >= 0 && not (A.vis a i j && List.for_all (fun k -> A.vis a k j) (A.vis_preds a i))
+          then inherits := false;
+          prev.(d.Event.replica) <- j)
+        h;
+      let r = Consistency.Session.check a in
+      !inherits
+      && r.Consistency.Session.read_your_writes = Ok ()
+      && r.Consistency.Session.monotonic_reads = Ok ())
+
 let suite =
   ( "abstract-props",
     [
@@ -180,4 +215,5 @@ let suite =
       soak ("mvr 400 ops, 6 replicas, lossy", soak_mvr);
       soak ("causal 400 ops, partition", soak_causal);
       soak ("theorem12 n=12 k=256", soak_theorem12_large);
+      prop_unchecked_closed;
     ] )

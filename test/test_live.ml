@@ -283,7 +283,10 @@ let test_merge_send_gated_under_skew () =
       rval = Model.Op.Vals [ Model.Value.Int 1 ] }
   in
   let w_write = { Store.Store_intf.visible = []; self = Some dot } in
-  let w_read = { Store.Store_intf.visible = [ (0, dot) ]; self = None } in
+  let w_read =
+    { Store.Store_intf.visible = [ Store.Store_intf.of_dots 0 (Clock.Dot.Set.singleton dot) ];
+      self = None }
+  in
   let msg = { Model.Message.sender = 0; seq = 0; payload = "w" } in
   let l0 = Log.create ~witnesses:true () and l1 = Log.create ~witnesses:true () in
   Log.append l0 ~at:5.0 ~wit:w_write (Model.Event.Do write);
@@ -301,10 +304,10 @@ let test_merge_send_gated_under_skew () =
   let show evs = List.map (Format.asprintf "%a" Model.Event.pp) evs in
   Alcotest.(check (list string)) "send-first interleaving" (show send_first)
     (show (Model.Execution.events exec));
-  let expected = Witness.create () in
+  let expected = Witness.create ~n:2 in
   ignore (Witness.add expected write (Some w_write));
   ignore (Witness.add expected read (Some w_read));
-  let expected = Witness.abstract expected ~n:2 in
+  let expected = Witness.abstract expected in
   Alcotest.(check bool) "same H" true
     (Spec.Abstract.events expected = Spec.Abstract.events witness);
   Alcotest.(check (list (pair int int))) "same vis" (Spec.Abstract.vis_pairs expected)
